@@ -19,8 +19,6 @@ Usage::
                           [--manifest FILE] [--cache-dir DIR] [--qmon-dir DIR]
                           [--chaos 'kill-worker=P,hang=P,corrupt-cache=P,seed=N']
                           [--task-timeout S] [--retries N] [--journal FILE]
-    python -m repro sweep submit 'program=sor scale=smoke seed=0..7' --jobs 4
-    python -m repro sweep status [JOB_ID] | fetch JOB_ID | resume JOB_ID
     python -m repro faults show "loss=0.01,stall=2:10-20:3"
     python -m repro faults demo [--scale smoke] [--loss 0.01]
     python -m repro lint [paths...] [--select/--ignore SIMxxx,...]
@@ -217,137 +215,22 @@ def _cmd_all(args) -> int:
 # -- sweep engine -----------------------------------------------------
 
 
-def _print_error_rows(record) -> None:
-    """Error rows of a job's (possibly partial) manifest, to stderr."""
-    try:
-        manifest = json.loads((record.path / "manifest.json").read_text())
-    except (OSError, ValueError):
-        return
-    for row in manifest.get("entries", []):
-        if row.get("error"):
-            tag = (f"{row.get('program', '?')}/{row.get('scale', '?')}"
-                   f"/seed{row.get('seed', '?')}")
-            print(f"FAILED  {tag:<28} {row['error']}", file=sys.stderr)
-
-
 def _cmd_sweep(args) -> int:
-    """``repro sweep``: synchronous grid sweeps plus the async job queue.
+    """``repro sweep GRID``: produce a grid through the trace cache.
 
-    First positional token selects the mode: ``submit``/``status``/
-    ``fetch``/``resume`` drive the persistent job queue
-    (``results/.sweep/``); ``exec-job`` is the detached worker entry;
-    anything else is a grid spec swept synchronously in-process.
+    SIGINT/SIGTERM drain in-flight keys and exit 130; rerunning with the
+    same ``--journal`` resumes.  A detached run is plain shell job
+    control (``nohup python -m repro sweep GRID --journal J ... &``).
     """
     import signal
     import threading
 
-    from .harness import jobs as jobq
     from .harness.resilience import ChaosPlan, RetryPolicy, SweepJournal
     from .harness.sweep import GridError, parse_grid, run_sweep
 
-    tokens = list(args.tokens)
-    mode = tokens[0] if tokens else ""
-
-    if args.qmon_dir and mode in ("exec-job", "submit", "status", "fetch",
-                                  "resume"):
-        print("sweep: --qmon-dir applies to synchronous grid sweeps only",
-              file=sys.stderr)
-        return 2
-
-    if mode == "exec-job":
-        if len(tokens) != 2:
-            print("usage: repro sweep exec-job JOB_DIR", file=sys.stderr)
-            return 2
-        record = jobq.run_job(tokens[1])
-        print(record.describe())
-        return 0 if record.done else 1
-
-    if mode == "submit":
-        try:
-            grid = parse_grid(tokens[1:])
-        except GridError as exc:
-            print(f"bad grid: {exc}", file=sys.stderr)
-            return 2
-        try:
-            record = jobq.submit(grid, jobs=args.jobs, root=args.root,
-                                 cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-                                 foreground=args.foreground,
-                                 chaos=args.chaos,
-                                 task_timeout=args.task_timeout,
-                                 max_attempts=args.retries + 1)
-        except ValueError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-        print(record.describe())
-        if record.state in ("failed", "interrupted"):
-            _print_error_rows(record)
-            return 1
-        return 0
-
-    if mode == "resume":
-        if len(tokens) != 2:
-            print("usage: repro sweep resume JOB_ID", file=sys.stderr)
-            return 2
-        try:
-            record = jobq.resume(tokens[1], root=args.root,
-                                 foreground=args.foreground)
-        except jobq.JobError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-        print(record.describe())
-        if record.state in ("failed", "interrupted"):
-            _print_error_rows(record)
-            return 1
-        return 0
-
-    if mode == "status":
-        if len(tokens) > 2:
-            print("usage: repro sweep status [JOB_ID]", file=sys.stderr)
-            return 2
-        if len(tokens) == 2:
-            try:
-                records = [jobq.job_status(tokens[1], root=args.root)]
-            except jobq.JobError as exc:
-                print(f"sweep: {exc}", file=sys.stderr)
-                return 2
-        else:
-            records = jobq.list_jobs(root=args.root)
-            if not records:
-                print(f"no sweep jobs under {args.root}")
-                return 0
-        for record in records:
-            print(record.describe())
-        return 0
-
-    if mode == "fetch":
-        if len(tokens) != 2:
-            print("usage: repro sweep fetch JOB_ID", file=sys.stderr)
-            return 2
-        try:
-            record = jobq.job_status(tokens[1], root=args.root)
-        except jobq.JobError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-        if not record.done:
-            # Failed/interrupted jobs must fail the fetch loudly — with
-            # the offending rows — not merely report a state.
-            print(f"sweep: job {record.job_id} is {record.state}"
-                  + (f" ({record.error})" if record.error else ""),
-                  file=sys.stderr)
-            _print_error_rows(record)
-            return 1
-        try:
-            manifest = jobq.fetch(tokens[1], root=args.root)
-        except jobq.JobError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
-
-    # Synchronous sweep of a grid spec.
     _apply_telemetry(args)
     try:
-        grid = parse_grid(tokens)
+        grid = parse_grid(args.tokens)
     except GridError as exc:
         print(f"bad grid: {exc}", file=sys.stderr)
         return 2
@@ -898,13 +781,11 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser(
         "sweep",
         help="sweep a program/scale/seed/faults/queue grid through the "
-             "trace cache (or submit/status/fetch async jobs)",
+             "trace cache",
     )
     p_sweep.add_argument(
-        "tokens", nargs="+", metavar="GRID|submit|status|fetch|resume",
-        help="grid tokens like 'program=* scale=smoke seed=0..3', or a "
-             "job-queue verb (submit GRID..., status [JOB], fetch JOB, "
-             "resume JOB)")
+        "tokens", nargs="+", metavar="GRID",
+        help="grid tokens like 'program=* scale=smoke seed=0..3'")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel production workers (default: 1)")
     p_sweep.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -917,20 +798,14 @@ def main(argv=None) -> int:
                               "seed=7' (needs --jobs >= 2)")
     p_sweep.add_argument("--task-timeout", metavar="SECONDS", type=float,
                          default=None,
-                         help="watchdog limit per pooled key; a worker "
-                              "stuck past it is killed and the key requeued")
+                         help="wall-clock limit per pooled key; a key "
+                              "past it fails and is retried")
     p_sweep.add_argument("--retries", metavar="N", type=int, default=2,
                          help="retry attempts per failed key before "
                               "quarantine (default: 2)")
     p_sweep.add_argument("--journal", metavar="FILE", default=None,
-                         help="crash-safe journal for synchronous sweeps; "
-                              "rerunning with the same file resumes")
-    p_sweep.add_argument("--root", metavar="DIR",
-                         default=os.path.join("results", ".sweep"),
-                         help="job-queue state directory (results/.sweep)")
-    p_sweep.add_argument("--foreground", action="store_true",
-                         help="run a submitted job in-process instead of "
-                              "detaching a worker")
+                         help="crash-safe journal; rerunning with the "
+                              "same file resumes")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress streaming progress on stderr")
     p_sweep.add_argument("--telemetry", action="store_true",
@@ -938,8 +813,7 @@ def main(argv=None) -> int:
                               "print a summary")
     p_sweep.add_argument("--qmon-dir", metavar="DIR", default=None,
                          help="collect switch-queue manifests for "
-                              "route=switched keys as DIR/<digest>.qmon.json "
-                              "(synchronous sweeps only)")
+                              "route=switched keys as DIR/<digest>.qmon.json")
     p_sweep.set_defaults(fn=_cmd_sweep, no_cache=False)
 
     p_tr = sub.add_parser("trace", help="capture one program's packet trace")

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..transport import PROTO_TCP, PROTO_UDP
 from .trace import TRACE_DTYPE, PacketTrace
 
@@ -40,15 +40,7 @@ def save_npz_atomic(trace: PacketTrace, path: Union[str, Path]) -> None:
     the parallel trace-cache warmers rely on when several processes
     target the same cache directory.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, packets=trace.data)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    write_atomic(path, lambda fh: np.savez_compressed(fh, packets=trace.data))
 
 
 def trace_digest(trace: PacketTrace) -> str:

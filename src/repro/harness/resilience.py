@@ -2,48 +2,40 @@
 
 Production campaigns treat partial failure as the steady state: workers
 die, tasks hang, processes get SIGKILLed mid-sweep, and cache entries
-rot on disk.  This module is the resilience layer the sweep engine
-(:mod:`repro.harness.sweep`) and job queue (:mod:`repro.harness.jobs`)
-stand on:
+rot on disk.  This module holds the policies the sweep engine
+(:mod:`repro.harness.sweep`) recovers with:
 
 * :class:`RetryPolicy` — exponential backoff with **seeded,
   deterministic jitter** and a poison-key quarantine after
   ``max_attempts``, so one pathological config cannot stall a grid;
 * :class:`ChaosPlan` — a seeded fault-injection grammar
-  (``kill-worker=P,hang=P,corrupt-cache=P,seed=N``) whose per-(key,
-  attempt) decisions are pure hash functions, so every recovery path is
-  exercised deterministically in tests and CI;
+  (``kill-worker=P,hang=P,corrupt-cache=P,seed=N``) whose decisions are
+  pure hash functions, so every recovery path is exercised
+  deterministically in tests and CI;
 * :class:`SweepJournal` — an append-only, fsync'd
   ``journal.jsonl`` with atomic rotation; replaying it is what makes
-  ``repro sweep resume`` crash-safe after a SIGKILL or reboot;
-* :class:`SupervisedPool` — a persistent worker pool with per-worker
-  heartbeats and a watchdog that detects dead *and* hung workers
-  (``task_timeout``), respawns them, and requeues their in-flight keys.
+  ``repro sweep --journal FILE`` crash-safe after a SIGKILL or reboot.
 
-Everything here is deliberately wall-clock-aware (watchdogs measure
-wall time by definition) but **never** feeds wall readings into
-simulation state: the recovery layer retries, requeues, and replays
-work whose outputs are deterministic, so a sweep that survived three
-worker kills emits a manifest byte-identical to one that saw none.
+The engine's executor rebuilds a pool whose worker died and enforces
+``task_timeout`` inside the worker; everything here is wall-clock-aware
+(backoff is wall time by definition) but **never** feeds wall readings
+into simulation state: the recovery layer retries, requeues, and
+replays work whose outputs are deterministic, so a sweep that survived
+three worker kills emits a manifest byte-identical to one that saw none.
 
 Telemetry counters: ``sweep.retries``, ``sweep.requeued``,
-``sweep.quarantined``, ``watchdog.kills``, ``resume.replayed``.
+``sweep.quarantined``, ``sweep.timeouts``, ``resume.replayed``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..telemetry import Telemetry, maybe_count
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -51,20 +43,14 @@ __all__ = [
     "ChaosPlan",
     "RetryPolicy",
     "SweepJournal",
-    "SupervisedPool",
-    "TaskMeta",
     "produce_with_chaos",
 ]
 
 #: Journal line-format version, recorded in the ``begin`` row.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Telemetry clock (never a direct ``time.perf_counter()`` call, so the
-#: module stays simlint-clean under SIM001 with the rest of ``src``).
-_WALL = Telemetry(label="resilience-clock").clock
-
 #: Cap on how long a graceful shutdown waits for in-flight tasks before
-#: the watchdog reaps them anyway (the journal keeps the keys resumable).
+#: their workers are killed anyway (the journal keeps the keys resumable).
 DRAIN_TIMEOUT = 30.0
 
 
@@ -142,13 +128,16 @@ class ChaosPlan:
     Spec grammar (comma-separated, any subset)::
 
         kill-worker=P     worker calls os._exit mid-task with probability P
-        hang=P            worker sleeps forever (watchdog territory)
+        hang=P            worker sleeps until the task timeout fires
         corrupt-cache=P   the freshly written npz is truncated on disk
         seed=N            decision seed (default 0)
 
-    Decisions are per ``(digest, attempt)`` hash draws, so a key killed
-    on its first attempt usually survives its second — and the whole
-    failure schedule replays identically for a given seed.
+    Kill and hang decisions are per ``(digest, attempt)`` hash draws, so
+    a key killed on its first attempt usually survives its second — and
+    the whole failure schedule replays identically for a given seed.
+    Corruption is drawn once per digest (as its first attempt): which
+    attempt finally lands an entry depends on which keys shared the pool
+    when a worker died, and the set of rotten entries must not.
     """
 
     kill_worker: float = 0.0
@@ -210,14 +199,13 @@ class ChaosPlan:
         return (
             _unit(self.seed, "kill", ident, attempt) < self.kill_worker,
             _unit(self.seed, "hang", ident, attempt) < self.hang,
-            _unit(self.seed, "corrupt", ident, attempt) < self.corrupt_cache,
+            _unit(self.seed, "corrupt", ident, 1) < self.corrupt_cache,
         )
 
-    def corrupted_idents(self, idents: Sequence[str],
-                         attempt: int = 1) -> List[str]:
-        """The subset of ``idents`` whose entry the plan corrupts at
-        ``attempt`` — what a scrubber test must detect, exhaustively."""
-        return [i for i in idents if self.decide(i, attempt)[2]]
+    def corrupted_idents(self, idents: Sequence[str]) -> List[str]:
+        """The subset of ``idents`` whose entry the plan corrupts — what
+        a scrubber test must detect, exhaustively."""
+        return [i for i in idents if self.decide(i, 1)[2]]
 
 
 def _truncate_file(path: Path) -> None:
@@ -237,7 +225,7 @@ def produce_with_chaos(payload) -> tuple:
     ``payload`` is ``(task, attempt, chaos_dict_or_None)`` where ``task``
     is the sweep engine's standard production tuple.  Chaos decisions
     are evaluated here, inside the worker, so a ``kill`` takes the whole
-    process down exactly like a real crash would — the supervisor in the
+    process down exactly like a real crash would — the executor in the
     parent is what must recover.
     """
     task, attempt, chaos_doc = payload
@@ -248,7 +236,7 @@ def produce_with_chaos(payload) -> tuple:
         if kill:
             os._exit(17)  # simulate SIGKILL: no cleanup, no answer
         if hang:
-            while True:  # hold the task until the watchdog reaps us
+            while True:  # hold the task until the task timeout fires
                 time.sleep(60)
     else:
         corrupt = False
@@ -359,360 +347,3 @@ class SweepJournal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-# ---------------------------------------------------------------------------
-# Supervised worker pool
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TaskMeta:
-    """How a task's final answer came to be."""
-
-    attempts: int = 1
-    quarantined: bool = False
-    error: Optional[str] = None
-
-
-class _Attempt:
-    __slots__ = ("task", "ident", "attempts")
-
-    def __init__(self, task, ident: str):
-        self.task = task
-        self.ident = ident
-        self.attempts = 0
-
-
-class _Slot:
-    """One supervised worker: process, private pipe, heartbeat state."""
-
-    __slots__ = ("index", "proc", "conn", "inflight", "started", "heartbeat")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.proc = None
-        self.conn = None
-        self.inflight: Optional[_Attempt] = None
-        self.started = 0.0
-        self.heartbeat = 0.0
-
-
-def _worker_main(conn, initializer) -> None:
-    """Worker loop: receive ``(func, payload)``, answer ``("done", ...)``.
-
-    A ``None`` message is the shutdown handshake.  Any exception that
-    escapes ``func`` is reported as an ``("err", ...)`` answer rather
-    than killing the worker — only real crashes (chaos kills, OOM,
-    signals) take the process down, and those are the supervisor's job.
-    """
-    if initializer is not None:
-        initializer()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg is None:
-            return
-        func, payload = msg
-        try:
-            result = func(payload)
-        except BaseException as exc:  # noqa: BLE001 - reported, not fatal
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                return
-            try:
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            except (BrokenPipeError, OSError):
-                return
-            continue
-        try:
-            conn.send(("done", result))
-        except (BrokenPipeError, OSError):
-            return
-
-
-class SupervisedPool:
-    """A persistent pool of supervised workers.
-
-    Each worker owns a private duplex pipe; dispatch is one task per
-    worker at a time, so the supervisor always knows exactly which key
-    every worker holds.  Per-worker heartbeats (spawn, dispatch,
-    completion) feed a watchdog that runs inside
-    :meth:`imap_supervised`: a worker whose process died loses its key
-    back to the queue and is respawned; a worker stuck past
-    ``task_timeout`` is killed first (``watchdog.kills``), then treated
-    the same way.  Requeues and failures flow through a
-    :class:`RetryPolicy`, ending in quarantine rather than livelock.
-    """
-
-    def __init__(self, jobs: int, initializer: Optional[Callable] = None,
-                 context=None):
-        if jobs < 2:
-            raise ValueError(f"a worker pool needs jobs >= 2, got {jobs}")
-        if context is None:
-            from .sweep import _pool_context
-
-            context = _pool_context()
-        self._ctx = context
-        self._initializer = initializer
-        self.jobs = jobs
-        self.stats = {"respawns": 0, "watchdog_kills": 0, "tasks_done": 0}
-        self._slots = [_Slot(i) for i in range(jobs)]
-        for slot in self._slots:
-            self._spawn(slot)
-
-    # -- lifecycle -----------------------------------------------------
-    def _spawn(self, slot: _Slot) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main, args=(child_conn, self._initializer),
-            daemon=True, name=f"sweep-worker-{slot.index}",
-        )
-        proc.start()
-        child_conn.close()
-        slot.proc = proc
-        slot.conn = parent_conn
-        slot.inflight = None
-        slot.heartbeat = _WALL()
-
-    def _respawn(self, slot: _Slot) -> None:
-        if slot.proc is not None and slot.proc.is_alive():
-            slot.proc.kill()
-        if slot.proc is not None:
-            slot.proc.join()
-        if slot.conn is not None:
-            slot.conn.close()
-        self.stats["respawns"] += 1
-        maybe_count("sweep.pool.respawns")
-        self._spawn(slot)
-
-    @property
-    def alive(self) -> bool:
-        return any(s.proc is not None and s.proc.is_alive()
-                   for s in self._slots)
-
-    def heartbeats(self) -> Dict[int, float]:
-        """Last-activity wall time per worker slot (spawn/dispatch/done)."""
-        return {s.index: s.heartbeat for s in self._slots}
-
-    def terminate(self) -> None:
-        """Shut every worker down (handshake first, then force)."""
-        for slot in self._slots:
-            if slot.conn is not None:
-                try:
-                    slot.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for slot in self._slots:
-            if slot.proc is not None:
-                slot.proc.join(timeout=2.0)
-                if slot.proc.is_alive():
-                    slot.proc.kill()
-                    slot.proc.join()
-                slot.proc = None
-            if slot.conn is not None:
-                slot.conn.close()
-                slot.conn = None
-            slot.inflight = None
-
-    def join(self) -> None:  # API parity with multiprocessing.Pool
-        pass
-
-    # -- supervised execution ------------------------------------------
-    def imap_supervised(
-        self,
-        func: Callable,
-        tasks: Sequence,
-        ident: Callable[[object], str],
-        retry: Optional[RetryPolicy] = None,
-        chaos: Optional[ChaosPlan] = None,
-        task_timeout: Optional[float] = None,
-        stop=None,
-        on_event: Optional[Callable] = None,
-    ):
-        """Run ``func`` over ``tasks`` under supervision; yield answers.
-
-        Yields ``(task, result, TaskMeta)`` in completion order.
-        ``result`` is ``None`` when every attempt died with the worker
-        (the meta carries the error).  ``stop`` (a ``threading.Event``)
-        triggers a graceful drain: no new dispatches, in-flight tasks
-        finish (bounded by :data:`DRAIN_TIMEOUT`), undispatched tasks
-        are silently dropped for a later resume to pick up.
-
-        ``on_event(kind, ident, **info)`` observes ``retry``,
-        ``requeue``, ``watchdog-kill``, and ``quarantine`` transitions
-        (the sweep engine journals and counts them).
-        """
-        from multiprocessing.connection import wait as conn_wait
-
-        retry = retry if retry is not None else DEFAULT_RETRY
-        emit = on_event if on_event is not None else (lambda *a, **k: None)
-        chaos_doc = chaos.as_dict() if chaos is not None and chaos.active \
-            else None
-        seqc = itertools.count()
-        ready = deque(_Attempt(t, ident(t)) for t in tasks)
-        waiting: list = []  # (due, seq, _Attempt) min-heap
-        total = len(ready)
-        yielded = 0
-        dropped = 0
-
-        def stopping() -> bool:
-            return stop is not None and stop.is_set()
-
-        def finish(att: _Attempt, result, error: Optional[str]):
-            nonlocal yielded
-            self.stats["tasks_done"] += 1
-            quarantined = bool(error) and att.attempts >= retry.max_attempts \
-                and retry.max_attempts > 1
-            if quarantined:
-                emit("quarantine", att.ident, attempts=att.attempts,
-                     error=error)
-            yielded += 1
-            return att.task, result, TaskMeta(att.attempts, quarantined, error)
-
-        def reschedule(att: _Attempt, kind: str, error: str):
-            """Route a failed attempt: retry, or report it spent."""
-            if stopping():
-                return finish(att, None, error)
-            if att.attempts < retry.max_attempts:
-                emit(kind, att.ident, attempt=att.attempts, error=error)
-                due = _WALL() + retry.delay(att.ident, att.attempts)
-                heappush(waiting, (due, next(seqc), att))
-                return None
-            return finish(att, None, error)
-
-        def lost_worker(slot: _Slot, reason: str):
-            """A worker died or was killed: recover its in-flight key."""
-            att, slot.inflight = slot.inflight, None
-            # Drain a completed answer that raced the death.
-            pending = None
-            if att is not None and slot.conn is not None:
-                try:
-                    if slot.conn.poll():
-                        pending = slot.conn.recv()
-                except (EOFError, OSError):
-                    pending = None
-            self._respawn(slot)
-            if att is None:
-                return None
-            if pending is not None and pending[0] == "done":
-                return finish(att, pending[1], None)
-            return reschedule(att, "requeue", reason)
-
-        while yielded + dropped < total:
-            now = _WALL()
-            if stopping() and (ready or waiting):
-                dropped += len(ready) + len(waiting)
-                ready.clear()
-                waiting.clear()
-            while waiting and waiting[0][0] <= now:
-                ready.append(heappop(waiting)[2])
-            # Dispatch to idle workers.
-            for slot in self._slots:
-                if not ready:
-                    break
-                if slot.inflight is not None:
-                    continue
-                att = ready.popleft()
-                att.attempts += 1
-                try:
-                    slot.conn.send((func, (att.task, att.attempts,
-                                           chaos_doc)))
-                except (BrokenPipeError, OSError):
-                    att.attempts -= 1
-                    ready.appendleft(att)
-                    self._respawn(slot)
-                    continue
-                slot.inflight = att
-                slot.started = _WALL()
-                slot.heartbeat = slot.started
-            busy = [s for s in self._slots if s.inflight is not None]
-            if not busy:
-                if waiting:
-                    time.sleep(max(0.0, min(0.5, waiting[0][0] - _WALL())))
-                    continue
-                if ready:
-                    continue  # all workers broke at dispatch; retry
-                break  # nothing in flight, nothing queued: drained
-            # How long a hung task may run before the watchdog steps in;
-            # a graceful drain must terminate even without a timeout.
-            effective_timeout = task_timeout
-            if stopping():
-                effective_timeout = min(task_timeout or DRAIN_TIMEOUT,
-                                        DRAIN_TIMEOUT)
-            deadlines = []
-            if effective_timeout:
-                deadlines.extend(s.started + effective_timeout for s in busy)
-            if waiting:
-                deadlines.append(waiting[0][0])
-            if stop is not None:
-                deadlines.append(_WALL() + 0.25)  # stay responsive to stop
-            wait_for = max(0.0, min(deadlines) - _WALL()) if deadlines \
-                else None
-            conns = {s.conn: s for s in busy}
-            sentinels = {s.proc.sentinel: s for s in busy}
-            ready_objs = conn_wait(list(conns) + list(sentinels),
-                                   timeout=wait_for)
-            dead = set()
-            for obj in ready_objs:
-                slot = conns.get(obj)
-                if slot is None:
-                    dead.add(sentinels[obj])
-                    continue
-                try:
-                    msg = slot.conn.recv()
-                except (EOFError, OSError):
-                    dead.add(slot)
-                    continue
-                att, slot.inflight = slot.inflight, None
-                slot.heartbeat = _WALL()
-                dead.discard(slot)
-                if att is None:  # pragma: no cover - stray late answer
-                    continue
-                if msg[0] == "err":
-                    out = reschedule(att, "retry", msg[1])
-                    if out is not None:
-                        yield out
-                    continue
-                result = msg[1]
-                error = self._result_error(result)
-                if error is not None and not stopping() \
-                        and att.attempts < retry.max_attempts:
-                    reschedule(att, "retry", error)
-                    continue
-                out = finish(att, result, error)
-                if out is not None:
-                    yield out
-            for slot in sorted(dead, key=lambda s: s.index):
-                if slot.inflight is None:
-                    self._respawn(slot)
-                    continue
-                out = lost_worker(slot, "worker died")
-                if out is not None:
-                    yield out
-            # Watchdog: reap workers stuck past the task timeout.
-            if effective_timeout:
-                now = _WALL()
-                for slot in self._slots:
-                    att = slot.inflight
-                    if att is None or now - slot.started <= effective_timeout:
-                        continue
-                    if slot.conn.poll():
-                        continue  # answered just now; next loop collects it
-                    self.stats["watchdog_kills"] += 1
-                    maybe_count("watchdog.kills")
-                    emit("watchdog-kill", att.ident, attempt=att.attempts,
-                         after_seconds=round(now - slot.started, 3))
-                    slot.proc.kill()
-                    out = lost_worker(
-                        slot, f"hung past task-timeout {task_timeout}s")
-                    if out is not None:
-                        yield out
-
-    @staticmethod
-    def _result_error(result) -> Optional[str]:
-        """The sweep outcome tuple's error field, if the result is one."""
-        if isinstance(result, tuple) and len(result) == 7:
-            return result[6]
-        return None

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import itertools
 import json
 import os
 import zipfile
@@ -45,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..atomic import write_atomic
 from ..capture import PacketTrace, load_npz, save_npz_atomic, trace_digest
 from ..faults import FaultPlan
 from ..programs import run_measured
@@ -265,15 +265,6 @@ def _decode_overrides(raw: dict) -> dict:
     return kwargs
 
 
-#: Monotone per-process counter distinguishing temp files written by
-#: concurrent threads of one process (the pid alone distinguishes
-#: processes).  Concurrent writers of the *same* entry are safe either
-#: way: each writes its own temp file and the final ``os.replace`` is
-#: atomic, so readers see a complete old or complete new entry, never a
-#: torn one — and determinism makes old and new byte-identical.
-_TMP_IDS = itertools.count()
-
-
 def _write_entry(directory: Path, digest: str, trace: PacketTrace,
                  describe: dict) -> str:
     """Write the npz + metadata pair for one cache entry atomically.
@@ -281,7 +272,7 @@ def _write_entry(directory: Path, digest: str, trace: PacketTrace,
     The npz lands before its metadata sidecar, so a sidecar's presence
     implies a readable trace; both are written to unique temp files and
     renamed into place (two workers racing on the same key can never
-    leave a torn entry).
+    leave a torn entry — and determinism makes their bytes identical).
     """
     directory.mkdir(parents=True, exist_ok=True)
     sha = trace_digest(trace)
@@ -293,15 +284,8 @@ def _write_entry(directory: Path, digest: str, trace: PacketTrace,
         "sim_seconds": float(trace.duration),
         "trace_sha256": sha,
     }
-    meta_path = directory / f"{digest}.json"
-    tmp = meta_path.with_name(
-        f".{meta_path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp"
-    )
-    try:
-        tmp.write_text(json.dumps(meta, indent=2, default=str))
-        os.replace(tmp, meta_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(directory / f"{digest}.json",
+                 json.dumps(meta, indent=2, default=str))
     return sha
 
 

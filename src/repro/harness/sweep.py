@@ -10,11 +10,13 @@ This module is the one production engine behind all of them:
   into deduplicated, content-addressed :class:`~.store.TraceKey` work
   items, in a deterministic order;
 * :func:`run_sweep` shards the missing keys across a **persistent**
-  multiprocessing worker pool (:func:`shared_pool` — initialized once
-  per process with the program registry, reused by every later sweep
-  and by :meth:`TraceStore.warm`), short-circuits cache hits without
-  touching a worker, and streams progress (done/hit/produced/failed,
-  runs/sec, ETA) through a callback;
+  ``ProcessPoolExecutor`` (:func:`shared_pool` — initialized once per
+  process with the program registry, reused by every later sweep and by
+  :meth:`TraceStore.warm`), short-circuits cache hits without touching
+  a worker, retries failed keys under one
+  :class:`~.resilience.RetryPolicy` whether serial or pooled, and
+  streams progress (done/hit/produced/failed, runs/sec, ETA) through a
+  callback;
 * the outcome is a :class:`SweepResult` whose :meth:`~SweepResult.manifest`
   is **deterministic**: sorted keys, per-trace SHA-256 digests, packet
   counts and simulated seconds — byte-identical whether the sweep ran
@@ -22,27 +24,36 @@ This module is the one production engine behind all of them:
 
 Wall-clock statistics (worker seconds, throughput, ETA) are reported
 alongside but deliberately excluded from the manifest, which is the
-reproducibility artifact.  The async job-queue front end lives in
-:mod:`repro.harness.jobs`; the CLI entry point is ``repro sweep``.
+reproducibility artifact.  The CLI entry point is ``repro sweep``.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import json
 import os
+import signal
+import threading
 import time
+import zipfile
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..atomic import write_atomic
 from ..capture import load_npz, trace_digest
 from ..telemetry import Telemetry, maybe_count, process_telemetry
 from .resilience import (
     DEFAULT_RETRY,
+    DRAIN_TIMEOUT,
     ChaosPlan,
     RetryPolicy,
-    SupervisedPool,
     SweepJournal,
     produce_with_chaos,
 )
@@ -64,7 +75,7 @@ __all__ = [
 ]
 
 #: Manifest layout version.  Bump when the manifest schema changes so
-#: downstream consumers (CI byte-identity gates, job fetch) can detect
+#: downstream consumers (CI byte-identity gates, benchmarks) can detect
 #: incompatible files.
 SWEEP_SCHEMA_VERSION = 1
 
@@ -329,18 +340,41 @@ def as_work_items(specs: Iterable) -> List[Tuple[TraceKey, dict]]:
 # Persistent worker pool
 # ---------------------------------------------------------------------------
 
-_POOL = None
+_POOL: Optional[ProcessPoolExecutor] = None
 _POOL_JOBS = 0
-_POOL_STATS = {"started": 0, "reused": 0, "tasks": 0}
+_POOL_STATS = {"started": 0, "reused": 0, "tasks": 0, "respawns": 0}
 _ATEXIT_REGISTERED = False
+
+#: How often a worker checks that the process that forked it still lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker thread: exit once the sweep process is gone.
+
+    Workers block on pipe ends they inherited from the parent, so a
+    SIGKILLed parent never closes them; reparenting is the only sign.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def _worker_init() -> None:
-    """Run once per worker: pre-bind the program registry and cluster
-    machinery so every task after the first pays simulation cost only.
-    (Under the ``fork`` start method imports are inherited; under
-    ``spawn`` this is what makes the pool *persistent* rather than
-    paying the import tax per task.)"""
+    """Run once per worker.
+
+    Workers ignore SIGINT/SIGTERM: a Ctrl-C reaches the whole process
+    group, and draining is the parent's job (it stops workers with the
+    executor's shutdown handshake or SIGKILL).  A daemon thread exits
+    the worker when the parent dies.  Finally the program registry and
+    cluster machinery are pre-bound so every task after the first pays
+    simulation cost only.  (Under the ``fork`` start method imports are
+    inherited; under ``spawn`` this is what makes the pool *persistent*
+    rather than paying the import tax per task.)"""
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     name="exit-with-parent", daemon=True).start()
     from ..fx import FxCluster  # noqa: F401 - imported for side effects
     from ..programs import PROGRAMS  # noqa: F401
 
@@ -356,27 +390,26 @@ def _pool_context():
     raise RuntimeError("no usable multiprocessing start method")
 
 
-def shared_pool(jobs: int) -> SupervisedPool:
+def shared_pool(jobs: int) -> ProcessPoolExecutor:
     """The process-wide persistent worker pool, sized to ``jobs``.
 
     Created once and reused by every sweep and by
     :meth:`TraceStore.warm`; asking for a different size replaces it.
-    Workers are initialized with the program registry
-    (:func:`_worker_init`) so repeated sweeps never re-pay startup.
-    Since the resilience layer landed this is a
-    :class:`~repro.harness.resilience.SupervisedPool`: every worker
-    carries a heartbeat and runs under the sweep watchdog.
+    Workers are initialized by :func:`_worker_init` and forked up front,
+    so repeated sweeps never re-pay startup.  A pool broken by a dead
+    worker is replaced by :func:`run_sweep` when it next dispatches.
     """
     global _POOL, _POOL_JOBS, _ATEXIT_REGISTERED
     if jobs < 2:
         raise ValueError(f"a worker pool needs jobs >= 2, got {jobs}")
-    if _POOL is not None and _POOL_JOBS == jobs and _POOL.alive:
+    if _POOL is not None and _POOL_JOBS == jobs:
         _POOL_STATS["reused"] += 1
         maybe_count("sweep.pool.reused")
         return _POOL
     shutdown_pool()
-    _POOL = SupervisedPool(jobs, initializer=_worker_init,
-                           context=_pool_context())
+    _POOL = ProcessPoolExecutor(jobs, mp_context=_pool_context(),
+                                initializer=_worker_init)
+    _POOL.submit(int).result()  # the first submit forks every worker
     _POOL_JOBS = jobs
     _POOL_STATS["started"] += 1
     maybe_count("sweep.pool.started")
@@ -387,25 +420,58 @@ def shared_pool(jobs: int) -> SupervisedPool:
 
 
 def shutdown_pool() -> None:
-    """Terminate the persistent pool (tests, atexit)."""
+    """Stop the persistent pool and reap its workers (tests, atexit)."""
     global _POOL, _POOL_JOBS
     if _POOL is not None:
-        _POOL.terminate()
+        _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_JOBS = 0
 
 
-def pool_stats() -> Dict[str, int]:
-    """Lifetime pool counters: started / reused / tasks dispatched."""
-    stats = dict(_POOL_STATS, jobs=_POOL_JOBS,
-                 alive=int(_POOL is not None and _POOL.alive))
+def _kill_pool() -> None:
+    """SIGKILL and reap every worker: a broken pool, or a drain past its
+    cap.  Afterwards every future the pool handed out is done."""
     if _POOL is not None:
-        stats["respawns"] = _POOL.stats["respawns"]
-        stats["watchdog_kills"] = _POOL.stats["watchdog_kills"]
-    else:
-        stats.setdefault("respawns", 0)
-        stats.setdefault("watchdog_kills", 0)
-    return stats
+        # Workers ignore SIGTERM, so the executor's own terminate() on a
+        # broken pool cannot stop one that is still busy.
+        for proc in list((_POOL._processes or {}).values()):
+            proc.kill()
+    shutdown_pool()
+
+
+def _replace_pool(jobs: int) -> ProcessPoolExecutor:
+    """A fresh pool in place of one a dead worker broke."""
+    _kill_pool()
+    _POOL_STATS["respawns"] += 1
+    maybe_count("sweep.pool.respawns")
+    return shared_pool(jobs)
+
+
+def pool_stats() -> Dict[str, int]:
+    """Lifetime pool counters: started / reused / tasks dispatched /
+    respawns (pools replaced after a worker died)."""
+    return dict(_POOL_STATS, jobs=_POOL_JOBS, alive=int(_POOL is not None))
+
+
+def _raise_timeout(signum, frame) -> None:  # noqa: ARG001
+    raise TimeoutError("task exceeded its task-timeout")
+
+
+def _run_task(payload, timeout: Optional[float]):
+    """Pool entry: :func:`produce_with_chaos` under an optional limit.
+
+    The limit is a ``SIGALRM`` interval timer inside the worker; its
+    handler raises :class:`TimeoutError`, so a runaway key fails like any
+    other error, goes through the retry path, and the worker survives.
+    """
+    if not timeout:
+        return produce_with_chaos(payload)
+    signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return produce_with_chaos(payload)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def _qmon_requested(overrides: dict) -> bool:
@@ -456,9 +522,13 @@ def _produce_one(task):
                                 and not _qmon_path(qmon_dir, digest).exists()):
             # Raced or resumed: another worker (or a previous sweep)
             # already landed this entry (and its manifest, if asked for).
-            trace = load_npz(npz)
-            return (digest, trace_digest(trace), len(trace),
-                    float(trace.duration), False, _WALL() - t0, None)
+            try:
+                trace = load_npz(npz)
+            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+                npz_existed = False  # a torn or rotten entry: produce afresh
+            else:
+                return (digest, trace_digest(trace), len(trace),
+                        float(trace.duration), False, _WALL() - t0, None)
         if want_qmon:
             detail: dict = {}
             trace = run_measured(name, scale=scale, seed=seed, qmon=True,
@@ -570,7 +640,7 @@ class SweepResult:
     #: True when a stop request (SIGINT/SIGTERM) drained the sweep early;
     #: the missing keys are resumable from the journal + cache.
     interrupted: bool = False
-    #: Recovery tallies: retries, requeued, quarantined, watchdog_kills.
+    #: Recovery tallies: retries, requeued, quarantined, timeouts, replayed.
     resilience: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -623,10 +693,7 @@ class SweepResult:
     def write_manifest(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(self.manifest_json())
-        os.replace(tmp, path)
-        return path
+        return write_atomic(path, self.manifest_json())
 
     def stats(self) -> dict:
         """Wall statistics (reported beside, never inside, the manifest)."""
@@ -763,15 +830,19 @@ def run_sweep(
         a pooled sweep (``jobs >= 2`` with a disk cache) because chaos
         kills live workers.
     task_timeout:
-        Watchdog limit in wall seconds for one pooled production; a
-        worker stuck past it is killed and its key requeued.
+        Wall-second limit on one pooled production, enforced by a timer
+        inside the worker; a key past it fails with ``TimeoutError`` and
+        goes through the retry path.
     journal:
         :class:`~repro.harness.resilience.SweepJournal` making the sweep
         crash-safe: completed keys are replayed from the journal on a
         rerun (``resume.replayed``) and every completion is fsync'd.
     stop:
-        A ``threading.Event``; once set the sweep drains in-flight work,
-        records what finished, and returns with ``interrupted=True``.
+        A ``threading.Event``; once set the sweep dispatches nothing
+        more, lets in-flight keys finish (at most
+        :data:`~repro.harness.resilience.DRAIN_TIMEOUT` seconds), records
+        what finished, and returns with ``interrupted=True``.  Keys still
+        unfinished stay unrecorded, so a rerun resumes them.
     qmon_dir:
         Collect switch-queue manifests: every switched-route key lands
         ``<digest>.qmon.json`` under this directory.  Keys whose trace
@@ -782,6 +853,12 @@ def run_sweep(
     Cache-hit keys short-circuit before dispatch: a fully warm sweep
     performs no simulation and spawns no worker.  Failures are recorded
     per key (``SweepEntry.error``) and never abort the rest.
+
+    Serial and pooled production share one loop: at most ``jobs`` keys
+    in flight, every failed attempt routed through ``retry`` (backoff,
+    then quarantine).  A dead worker breaks the whole executor, which
+    cannot say whose worker it was, so the pool is rebuilt and every
+    in-flight key is requeued and charged one attempt.
     """
     if store is None:
         from .runner import trace_store
@@ -808,7 +885,7 @@ def run_sweep(
     prog = SweepProgress(total=len(items))
     entries: Dict[TraceKey, SweepEntry] = {}
     tallies = {"retries": 0, "requeued": 0, "quarantined": 0,
-               "watchdog_kills": 0, "replayed": 0}
+               "timeouts": 0, "replayed": 0}
 
     def record(entry: SweepEntry) -> None:
         entries[entry.key] = entry
@@ -842,7 +919,7 @@ def run_sweep(
             progress(prog, entry)
 
     def on_event(kind: str, ident: str, **info) -> None:
-        """Pool/retry transitions: count, journal, and stream them."""
+        """Retry transitions: count, journal, and stream them."""
         if kind == "retry":
             tallies["retries"] += 1
             prog.retries += 1
@@ -851,8 +928,9 @@ def run_sweep(
             tallies["requeued"] += 1
             prog.requeued += 1
             maybe_count("sweep.requeued")
-        elif kind == "watchdog-kill":
-            tallies["watchdog_kills"] += 1
+        elif kind == "timeout":
+            tallies["timeouts"] += 1
+            maybe_count("sweep.timeouts")
         elif kind == "quarantine":
             tallies["quarantined"] += 1
             prog.quarantined += 1
@@ -897,51 +975,125 @@ def run_sweep(
         else:
             misses.append((key, overrides))
 
-    if stopping():
-        pass  # drain: nothing left to dispatch
-    elif misses and jobs > 1 and store.disk_dir is not None:
+    pool = None
+    if misses and not stopping() and jobs > 1 and store.disk_dir is not None:
         store.disk_dir.mkdir(parents=True, exist_ok=True)
         pool = shared_pool(jobs)
-        tasks = [
-            (k.name, k.scale, k.seed, ov, k.digest(), str(store.disk_dir),
-             str(qmon_dir) if qmon_dir is not None else None)
-            for k, ov in misses
-        ]
-        by_digest = {k.digest(): k for k, _ in misses}
-        _POOL_STATS["tasks"] += len(tasks)
-        maybe_count("sweep.pool.tasks", len(tasks))
-        for task, outcome, meta in pool.imap_supervised(
-                produce_with_chaos, tasks, ident=lambda t: t[4],
-                retry=retry, chaos=chaos, task_timeout=task_timeout,
-                stop=stop, on_event=on_event):
-            key = by_digest[task[4]]
-            if outcome is None:
-                # Every attempt died with its worker (crash/hang loop).
-                error = meta.error or "worker lost"
-                if meta.quarantined:
-                    error = (f"quarantined after {meta.attempts} "
-                             f"attempts: {error}")
-                record(SweepEntry(key=key, digest=task[4], error=error,
-                                  attempts=meta.attempts))
-                continue
-            digest, sha, packets, sim_s, produced, wall, error = outcome
-            if error is not None and meta.quarantined:
-                error = f"quarantined after {meta.attempts} attempts: {error}"
-            if produced:
-                store.stats.disk_writes += 1
-            record(SweepEntry(
-                key=key, digest=digest, trace_sha256=sha, packets=packets,
-                sim_seconds=sim_s, produced=produced,
-                cache_hit=not produced and error is None,
-                wall_seconds=wall, error=error, attempts=meta.attempts,
-            ))
-    else:
-        for key, overrides in misses:
-            if stopping():
-                break
-            record(_produce_serial_with_retry(store, key, overrides,
-                                              retry, on_event, stopping,
+    window = jobs if pool is not None else 1
+    chaos_doc = chaos.as_dict() if chaos is not None and chaos.active \
+        else None
+    attempts: Dict[TraceKey, int] = {}
+    ready = deque(misses)
+    waiting: list = []  # backoff min-heap of (due, seq, (key, overrides))
+    seq = itertools.count()
+    inflight: Dict[Future, Tuple[TraceKey, dict]] = {}
+    drain_deadline = None
+
+    def launch(item) -> Future:
+        """Start one attempt: inline when serial, else on the pool."""
+        key, overrides = item
+        attempts[key] = attempts.get(key, 0) + 1
+        if pool is None:
+            future: Future = Future()
+            future.set_result(_produce_serial(store, key, overrides,
                                               qmon_dir=qmon_dir))
+            return future
+        task = (key.name, key.scale, key.seed, overrides, key.digest(),
+                str(store.disk_dir),
+                str(qmon_dir) if qmon_dir is not None else None)
+        future = pool.submit(_run_task, (task, attempts[key], chaos_doc),
+                             task_timeout)
+        _POOL_STATS["tasks"] += 1
+        maybe_count("sweep.pool.tasks")
+        return future
+
+    def settle(item, future: Future) -> None:
+        """A finished attempt: record it, back off for a retry, or
+        quarantine the key."""
+        key = item[0]
+        attempt = attempts[key]
+        exc = future.exception()
+        if exc is None:
+            entry = future.result()
+            if not isinstance(entry, SweepEntry):
+                entry = _pooled_entry(store, key, entry)
+        else:
+            error = ("worker died" if isinstance(exc, BrokenProcessPool)
+                     else f"{type(exc).__name__}: {exc}")
+            entry = SweepEntry(key=key, digest=key.digest(), error=error)
+        entry.attempts = attempt
+        if entry.error is None:
+            record(entry)
+            return
+        if stopping():
+            return  # unfinished at the drain: left for a resume
+        if entry.error.startswith("TimeoutError"):
+            on_event("timeout", entry.digest, attempt=attempt)
+        if attempt < retry.max_attempts:
+            kind = "requeue" if isinstance(exc, BrokenProcessPool) \
+                else "retry"
+            on_event(kind, entry.digest, attempt=attempt, error=entry.error)
+            heappush(waiting, (_WALL() + retry.delay(entry.digest, attempt),
+                               next(seq), item))
+            return
+        if retry.max_attempts > 1:
+            on_event("quarantine", entry.digest, attempts=attempt,
+                     error=entry.error)
+            entry.error = (f"quarantined after {attempt} attempts: "
+                           f"{entry.error}")
+        record(entry)
+
+    def restart_pool() -> None:
+        """A worker died: replace the pool, requeue every in-flight key."""
+        nonlocal pool
+        pool = _replace_pool(jobs)  # reaps the old one: all futures done
+        for future in list(inflight):
+            settle(inflight.pop(future), future)
+
+    try:
+        while ready or waiting or inflight:
+            if stopping():
+                ready.clear()
+                waiting.clear()
+                if drain_deadline is None:
+                    drain_deadline = _WALL() + DRAIN_TIMEOUT
+                if not inflight:
+                    break
+                if _WALL() >= drain_deadline:
+                    _kill_pool()  # the stragglers stay resumable
+                    break
+            now = _WALL()
+            while waiting and waiting[0][0] <= now:
+                ready.append(heappop(waiting)[2])
+            while ready and len(inflight) < window:
+                item = ready.popleft()
+                try:
+                    inflight[launch(item)] = item
+                except BrokenProcessPool:  # broke while idle
+                    attempts[item[0]] -= 1  # never ran: not charged
+                    ready.appendleft(item)
+                    restart_pool()
+            deadlines = [waiting[0][0]] if waiting else []
+            if stop is not None:
+                deadlines.append(now + 0.25)  # stay responsive to stop
+            if drain_deadline is not None:
+                deadlines.append(drain_deadline)
+            timeout = max(0.0, min(deadlines) - now) if deadlines else None
+            if not inflight:
+                time.sleep(timeout or 0.0)  # only backoffs are pending
+                continue
+            done, _ = wait(inflight, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            if any(isinstance(f.exception(), BrokenProcessPool)
+                   for f in done):
+                restart_pool()
+                continue
+            for future in done:
+                settle(inflight.pop(future), future)
+    except BaseException:
+        if inflight and pool is not None:
+            _kill_pool()  # never leave workers busy behind an exception
+        raise
 
     ordered = sorted(
         entries.values(),
@@ -960,31 +1112,14 @@ def run_sweep(
     return result
 
 
-def _produce_serial_with_retry(
-    store: TraceStore,
-    key: TraceKey,
-    overrides: dict,
-    retry: RetryPolicy,
-    on_event: Callable,
-    stopping: Callable[[], bool],
-    qmon_dir=None,
-) -> SweepEntry:
-    """Serial production under the same retry/quarantine policy as the
-    pool (minus worker supervision — there is no worker to die)."""
-    digest = key.digest()
-    attempt = 0
-    while True:
-        attempt += 1
-        entry = _produce_serial(store, key, overrides, qmon_dir=qmon_dir)
-        entry.attempts = attempt
-        if entry.error is None or stopping():
-            return entry
-        if attempt >= retry.max_attempts:
-            if retry.max_attempts > 1:
-                on_event("quarantine", digest, attempts=attempt,
-                         error=entry.error)
-                entry.error = (f"quarantined after {attempt} attempts: "
-                               f"{entry.error}")
-            return entry
-        on_event("retry", digest, attempt=attempt, error=entry.error)
-        time.sleep(max(0.0, retry.delay(digest, attempt)))
+def _pooled_entry(store: TraceStore, key: TraceKey, outcome) -> SweepEntry:
+    """A worker's :func:`_produce_one` outcome tuple as a SweepEntry."""
+    digest, sha, packets, sim_s, produced, wall, error = outcome
+    if produced:
+        store.stats.disk_writes += 1
+    return SweepEntry(
+        key=key, digest=digest, trace_sha256=sha, packets=packets,
+        sim_seconds=sim_s, produced=produced,
+        cache_hit=not produced and error is None,
+        wall_seconds=wall, error=error,
+    )

@@ -11,9 +11,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
-import os
 from typing import List
 
+from ..atomic import write_atomic
 from .monitor import FabricMonitor
 
 __all__ = [
@@ -145,11 +145,7 @@ def manifest_json(doc: dict) -> str:
 
 def write_qmon(path, doc: dict) -> None:
     """Atomically write a manifest (tmp file + rename)."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(manifest_json(doc))
-    os.replace(tmp, path)
+    write_atomic(path, manifest_json(doc))
 
 
 def validate_qmon(doc) -> List[str]:

@@ -138,11 +138,3 @@ class TestSweepQmonCli:
         from repro.netmon import validate_qmon
 
         assert validate_qmon(json.loads(files[0].read_text())) == []
-
-    def test_qmon_dir_rejected_for_service_modes(self, tmp_path, capsys):
-        rc = main(["sweep", "submit",
-                   "program=sor scale=smoke seed=0 route=switched",
-                   "--root", str(tmp_path / "q"),
-                   "--qmon-dir", str(tmp_path / "qmon")])
-        assert rc == 2
-        assert "qmon-dir" in capsys.readouterr().err

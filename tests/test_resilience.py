@@ -1,5 +1,6 @@
-"""Self-healing sweep service: watchdog, retry/backoff, crash-safe
-resume, cache scrubber, and the seeded chaos harness.
+"""Self-healing sweep service: pool rebuild, task timeout, retry/backoff,
+crash-safe resume, graceful drain, cache scrubber, and the seeded chaos
+harness.
 
 Every chaos path here is deterministic: kill/hang/corrupt decisions are
 pure hashes of (seed, key digest, attempt), so a configuration verified
@@ -7,33 +8,42 @@ to terminate once terminates identically on every machine.
 """
 
 import json
+import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.harness import jobs as jobq
 from repro.harness.resilience import (
     DEFAULT_RETRY,
     ChaosError,
     ChaosPlan,
     RetryPolicy,
-    SupervisedPool,
     SweepJournal,
     _unit,
 )
 from repro.harness.store import TraceStore, _stat_signature
-from repro.harness.sweep import pool_stats, run_sweep, shutdown_pool
+from repro.harness.sweep import (
+    pool_stats,
+    run_sweep,
+    shared_pool,
+    shutdown_pool,
+)
 
 GRID = "program=seq,t2dfft scale=smoke seed=0..2"  # 6 cheap keys
 
 #: A wider grid for the kill-mid-run integration tests: enough keys
 #: that the signal reliably lands while the sweep is still running.
 BIG_GRID = "program=seq,t2dfft scale=smoke seed=0..7"  # 16 cheap keys
+
+#: ``src`` for CLI subprocesses, whatever directory a test runs in.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -221,68 +231,44 @@ class TestSerialRetry:
 
 
 # ---------------------------------------------------------------------------
-# Supervised pool: heartbeats, respawn, chaos recovery
+# Supervised pool: rebuild after a worker death, errors never fatal
 # ---------------------------------------------------------------------------
 
 
 class TestSupervisedPool:
     def test_requires_two_workers(self):
         with pytest.raises(ValueError):
-            SupervisedPool(1)
+            shared_pool(1)
 
-    def test_heartbeats_per_worker(self):
-        pool = SupervisedPool(2)
-        try:
-            beats = pool.heartbeats()
-            assert set(beats) == {0, 1}
-            assert all(b > 0 for b in beats.values())
-            assert pool.alive
-        finally:
-            pool.terminate()
-        assert not pool.alive
+    def test_dead_worker_respawned_and_task_requeued(self, tmp_path, store):
+        clean = _clean_manifest(tmp_path)
+        shared_pool(2)
+        # kill one idle worker before dispatch: the executor breaks, the
+        # sweep rebuilds it, and every key still completes
+        victim = multiprocessing.active_children()[0]
+        victim.kill()
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        result = run_sweep(GRID, jobs=2, store=store,
+                           retry=RetryPolicy(max_attempts=3,
+                                             backoff_base=0.001))
+        assert result.ok
+        assert result.manifest_json() == clean
+        assert pool_stats()["respawns"] >= 1
 
-    def test_dead_worker_respawned_and_task_requeued(self):
-        pool = SupervisedPool(2)
-        try:
-            # kill one worker before dispatch: the send fails, the slot
-            # respawns, and the task still completes on the fresh worker
-            pool._slots[0].proc.kill()
-            pool._slots[0].proc.join()
-            results = list(pool.imap_supervised(
-                _double, [1, 2, 3], ident=str,
-                retry=RetryPolicy(max_attempts=3, backoff_base=0.001)))
-            assert sorted(r for _, r, _ in results) == [2, 4, 6]
-            assert pool.stats["respawns"] >= 1
-        finally:
-            pool.terminate()
-
-    def test_worker_exception_reported_not_fatal(self):
-        pool = SupervisedPool(2)
-        try:
-            results = list(pool.imap_supervised(
-                _fail_on_two, [1, 2, 3], ident=str,
-                retry=RetryPolicy(max_attempts=2, backoff_base=0.001)))
-            by_task = {t: (r, m) for t, r, m in results}
-            assert by_task[1][0] == 1 and by_task[3][0] == 3
-            result, meta = by_task[2]
-            assert result is None
-            assert meta.quarantined and meta.attempts == 2
-            assert "ValueError" in meta.error
-            assert pool.alive  # exceptions never kill workers
-        finally:
-            pool.terminate()
-
-
-def _double(payload):
-    task, _attempt, _chaos = payload
-    return task * 2
-
-
-def _fail_on_two(payload):
-    task, _attempt, _chaos = payload
-    if task == 2:
-        raise ValueError("two is cursed")
-    return task
+    def test_worker_exception_reported_not_fatal(self, store):
+        shared_pool(2)
+        respawns = pool_stats()["respawns"]
+        result = run_sweep(
+            [("seq", "smoke", 0), ("sor", "smoke", 0, {"nprocs": 0})],
+            jobs=2, store=store,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.001))
+        (entry,) = result.failed
+        assert entry.key.name == "sor" and entry.attempts == 2
+        assert entry.error.startswith("quarantined after 2 attempts:")
+        assert "ValueError" in entry.error
+        assert result.resilience["requeued"] == 0
+        assert pool_stats()["respawns"] == respawns  # the pool survived
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +280,12 @@ class TestChaosSweeps:
     def test_kill_worker_chaos_recovers_byte_identical(self, tmp_path, store):
         clean = _clean_manifest(tmp_path)
         plan = ChaosPlan.parse("kill-worker=0.4,seed=3")
+        # A death requeues both in-flight keys, charging each an attempt:
+        # with two keys in flight an attempt fails with probability at
+        # most 1 - 0.6**2 = 0.64, so 20 attempts keep the chance that any
+        # of the 6 keys is quarantined below 6 * 0.64**20 < 1e-3.
         result = run_sweep(GRID, jobs=2, store=store, chaos=plan,
-                           retry=RetryPolicy(max_attempts=8,
+                           retry=RetryPolicy(max_attempts=20,
                                              backoff_base=0.01))
         assert result.ok
         assert result.resilience["requeued"] > 0  # chaos actually bit
@@ -303,6 +293,9 @@ class TestChaosSweeps:
         assert pool_stats()["respawns"] > 0
 
     def test_hung_worker_reaped_by_watchdog(self, tmp_path, store):
+        """The in-worker timer fails a hung key; it retries like any
+        other error (hangs never break the pool, so nothing is charged
+        to the other key in flight)."""
         clean = _clean_manifest(tmp_path)
         plan = ChaosPlan.parse("hang=0.35,seed=5")
         result = run_sweep(GRID, jobs=2, store=store, chaos=plan,
@@ -310,7 +303,8 @@ class TestChaosSweeps:
                            retry=RetryPolicy(max_attempts=8,
                                              backoff_base=0.01))
         assert result.ok
-        assert result.resilience["watchdog_kills"] > 0
+        assert result.resilience["timeouts"] > 0
+        assert result.resilience["requeued"] == 0
         assert result.manifest_json() == clean
 
     def test_corrupt_cache_chaos_detected_by_scrub(self, tmp_path, store):
@@ -507,211 +501,102 @@ class TestScrubber:
 
 
 # ---------------------------------------------------------------------------
-# Orphan-pid detection (reused pids, zombies)
+# Foreground CLI: graceful drain, SIGKILL resume, worker lifetime
 # ---------------------------------------------------------------------------
 
 
-class TestOrphanPids:
-    def test_dead_pid_not_alive(self):
-        assert not jobq._alive(2 ** 22 + 12345)
-        assert not jobq._alive(None)
-        assert not jobq._alive(0)
-
-    def test_own_pid_with_matching_start_alive(self):
-        pid = os.getpid()
-        assert jobq._alive(pid, jobq._proc_start(pid))
-
-    def test_reused_pid_detected_by_start_time(self):
-        # same live pid, different recorded start time => a reused pid
-        assert not jobq._alive(os.getpid(), "1")
-
-    def test_foreign_process_without_repro_cmdline_orphaned(self):
-        child = subprocess.Popen([sys.executable, "-c",
-                                  "import time; time.sleep(30)"])
-        try:
-            # alive, but not a repro worker: treated as orphaned
-            assert not jobq._alive(child.pid)
-            # with its true start time recorded it *is* our process
-            assert jobq._alive(child.pid, jobq._proc_start(child.pid))
-        finally:
-            child.kill()
-            child.wait()
-
-    def test_zombie_not_alive(self):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        try:
-            os.kill(child.pid, signal.SIGKILL)
-            for _ in range(100):
-                fields = jobq._proc_fields(child.pid)
-                if fields is None or fields[0] == "Z":
-                    break
-                time.sleep(0.01)
-            assert not jobq._alive(child.pid, jobq._proc_start(child.pid))
-        finally:
-            child.wait()
-
-    def test_orphaned_job_is_resumable(self, tmp_path):
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        rec = jobq.submit("program=seq scale=smoke seed=0", jobs=1,
-                          root=root, cache_dir=cache, foreground=True)
-        doc = json.loads((rec.path / "job.json").read_text())
-        doc["state"] = "running"
-        doc["pid"] = os.getpid()      # alive pid...
-        doc["pid_start"] = "1"        # ...but a different process now
-        (rec.path / "job.json").write_text(json.dumps(doc))
-        status = jobq.job_status(rec.job_id, root=root)
-        assert status.state == "interrupted"
-        resumed = jobq.resume(rec.job_id, root=root, foreground=True)
-        assert resumed.state == "done"
+def _repro(*argv, **popen):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "repro", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **popen)
 
 
-# ---------------------------------------------------------------------------
-# Job queue: interrupted state, resume, fetch satellite
-# ---------------------------------------------------------------------------
+def _wait_for_done_row(proc, journal, timeout=60.0):
+    """Block until the sweep has journaled a completed key."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if journal.exists() and '"done"' in journal.read_text():
+            return
+        if proc.poll() is not None:
+            pytest.fail(f"sweep exited early: {proc.communicate()}")
+        time.sleep(0.02)
+    pytest.fail("sweep never journaled a completed key")
 
 
-class TestJobResilience:
-    def test_run_job_sigterm_lands_interrupted_resumable(self, tmp_path):
-        """A detached worker drains on SIGTERM; resume finishes the job
-        with a manifest byte-identical to an uninterrupted serial run."""
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        ref = TraceStore(disk_dir=tmp_path / "ref-cache")
-        clean = run_sweep(BIG_GRID, jobs=1, store=ref).manifest_json()
+def _running(pid):
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return True
+    return state.split()[0] != "Z"
 
-        rec = jobq.submit(BIG_GRID, jobs=1, root=root, cache_dir=cache)
-        job_dir = rec.path
-        journal = job_dir / "journal.jsonl"
-        deadline = time.monotonic() + 60
-        pid = None
-        while time.monotonic() < deadline:
-            doc = json.loads((job_dir / "job.json").read_text())
-            pid = doc.get("pid")
-            if (pid and doc["state"] == "running" and journal.exists()
-                    and '"done"' in journal.read_text()):
-                break
+
+class TestForegroundDrain:
+    def _sweep(self, tmp_path, **popen):
+        return _repro("sweep", BIG_GRID, "--jobs", "2",
+                      "--cache-dir", str(tmp_path / "cache"),
+                      "--journal", str(tmp_path / "journal.jsonl"),
+                      "--manifest", str(tmp_path / "manifest.json"), **popen)
+
+    def _resume(self, tmp_path, clean):
+        out, err = self._sweep(tmp_path).communicate(timeout=120)
+        assert "FAILED" not in err
+        assert int(re.search(r"(\d+) replayed", out).group(1)) > 0
+        assert (tmp_path / "manifest.json").read_text() == clean
+
+    def test_sigint_drains_exit_130_and_resumes(self, tmp_path):
+        """Ctrl-C reaches the whole process group: the sweep drains once,
+        exits 130 with no failed rows, and a rerun with the journal
+        finishes byte-identical to an uninterrupted serial run."""
+        clean = _clean_manifest(tmp_path, BIG_GRID)
+        proc = self._sweep(tmp_path, start_new_session=True)
+        _wait_for_done_row(proc, tmp_path / "journal.jsonl")
+        os.killpg(proc.pid, signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130, err
+        assert "FAILED" not in err
+        assert err.count("[draining") == 1  # workers ignore the signal
+        assert "resume with --journal" in err
+        self._resume(tmp_path, clean)
+
+    def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
+        clean = _clean_manifest(tmp_path, BIG_GRID)
+        proc = self._sweep(tmp_path)
+        _wait_for_done_row(proc, tmp_path / "journal.jsonl")
+        proc.kill()
+        proc.communicate(timeout=30)  # its workers hold the pipes until
+        self._resume(tmp_path, clean)  # they notice the parent is gone
+
+    def test_workers_exit_when_parent_is_killed(self):
+        script = ("import multiprocessing, time\n"
+                  "from repro.harness.sweep import shared_pool\n"
+                  "shared_pool(2)\n"
+                  "print(*[p.pid for p in multiprocessing.active_children()],"
+                  " flush=True)\n"
+                  "time.sleep(60)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(p) for p in pids)
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_running, pids)):
             time.sleep(0.05)
-        else:
-            pytest.fail("detached worker never made journal progress")
-        os.kill(pid, signal.SIGTERM)
-        while time.monotonic() < deadline:
-            if jobq.job_status(rec.job_id, root=root).state != "running":
-                break
-            time.sleep(0.05)
-        status = jobq.job_status(rec.job_id, root=root)
-        assert status.state == "interrupted"
-        assert status.resumable
-
-        resumed = jobq.resume(rec.job_id, root=root, foreground=True)
-        assert resumed.state == "done"
-        assert (job_dir / "manifest.json").read_text() == clean
-        stats = json.loads((job_dir / "stats.json").read_text())
-        assert stats["replayed"] > 0 or stats["cache_hits"] > 0
-
-    def test_sigkilled_job_resumes_byte_identical(self, tmp_path):
-        """Acceptance: SIGKILL mid-run, then resume completes with the
-        uninterrupted serial manifest, replaying from the journal."""
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        ref = TraceStore(disk_dir=tmp_path / "ref-cache")
-        clean = run_sweep(BIG_GRID, jobs=1, store=ref).manifest_json()
-
-        rec = jobq.submit(BIG_GRID, jobs=1, root=root, cache_dir=cache)
-        job_dir = rec.path
-        journal = job_dir / "journal.jsonl"
-        deadline = time.monotonic() + 60
-        pid = None
-        while time.monotonic() < deadline:
-            doc = json.loads((job_dir / "job.json").read_text())
-            pid = doc.get("pid")
-            if (pid and doc["state"] == "running" and journal.exists()
-                    and '"done"' in journal.read_text()):
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("detached worker never made journal progress")
-        os.kill(pid, signal.SIGKILL)
-        while time.monotonic() < deadline:
-            if jobq.job_status(rec.job_id, root=root).state != "running":
-                break
-            time.sleep(0.05)
-        status = jobq.job_status(rec.job_id, root=root)
-        assert status.state == "interrupted"  # zombie/orphan detected
-
-        resumed = jobq.resume(rec.job_id, root=root, foreground=True)
-        assert resumed.state == "done"
-        assert (job_dir / "manifest.json").read_text() == clean
-        stats = json.loads((job_dir / "stats.json").read_text())
-        assert stats["replayed"] > 0
-
-    def test_resume_refuses_running_job(self, tmp_path):
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        rec = jobq.submit("program=seq scale=smoke seed=0", jobs=1,
-                          root=root, cache_dir=cache, foreground=True)
-        doc = json.loads((rec.path / "job.json").read_text())
-        doc["state"] = "running"
-        doc["pid"] = os.getpid()
-        doc["pid_start"] = jobq._proc_start(os.getpid())
-        (rec.path / "job.json").write_text(json.dumps(doc))
-        with pytest.raises(jobq.JobError, match="running"):
-            jobq.resume(rec.job_id, root=root)
-
-    def test_resume_of_done_job_is_noop(self, tmp_path):
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        rec = jobq.submit("program=seq scale=smoke seed=0", jobs=1,
-                          root=root, cache_dir=cache, foreground=True)
-        assert jobq.resume(rec.job_id, root=root).state == "done"
-
-    def test_job_id_covers_resilience_knobs(self, tmp_path):
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        a = jobq.submit("program=seq scale=smoke seed=0", jobs=1, root=root,
-                        cache_dir=cache, foreground=True)
-        b = jobq.submit("program=seq scale=smoke seed=0", jobs=1, root=root,
-                        cache_dir=cache, foreground=True, max_attempts=5)
-        assert a.job_id != b.job_id
-
-    def test_chaos_spec_persisted_canonically(self, tmp_path):
-        root, cache = tmp_path / "jobs", tmp_path / "cache"
-        rec = jobq.submit(GRID, jobs=2, root=root, cache_dir=cache,
-                          foreground=True,
-                          chaos="kill-worker=0.4,seed=3",
-                          max_attempts=8)
-        assert rec.state == "done"
-        assert rec.chaos == "kill-worker=0.4,seed=3"
+        survivors = [p for p in pids if _running(p)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
 
-class TestFetchCli:
-    def test_fetch_failed_job_exits_nonzero_with_error_rows(self, tmp_path,
-                                                            capsys):
-        from repro.__main__ import main
-
-        root = str(tmp_path / "jobs")
-        cache = str(tmp_path / "cache")
-        rc = main(["sweep", "submit", "program=sor scale=smoke seed=0 "
-                   "nprocs=0,4", "--root", root, "--cache-dir", cache,
-                   "--foreground", "--retries", "0"])
-        assert rc == 1
-        out = capsys.readouterr()
-        job_id = out.out.split()[0]
-
-        rc = main(["sweep", "fetch", job_id, "--root", root])
-        assert rc == 1  # satellite: non-zero, not a status report
-        err = capsys.readouterr().err
-        assert "failed" in err
-        assert "FAILED" in err and "ValueError" in err
-
-    def test_fetch_unknown_job_still_exits_2(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        rc = main(["sweep", "fetch", "nope", "--root",
-                   str(tmp_path / "jobs")])
-        assert rc == 2
-
-    def test_resume_cli_usage(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        assert main(["sweep", "resume", "--root",
-                     str(tmp_path / "jobs")]) == 2
-        assert "usage" in capsys.readouterr().err
-
+class TestScrubCli:
     def test_scrub_cli_detects_and_repairs(self, tmp_path, capsys):
         from repro.__main__ import main
 
