@@ -7,11 +7,12 @@ records the numbers in ``BENCH_runtime.json`` so the simulator's own
 performance trajectory is tracked alongside the paper's reproduced
 figures.
 
-The telemetry overhead contract (docs/architecture.md, "Telemetry &
-profiling") is asserted here too: with telemetry *disabled* every
-instrumentation point costs a single attribute check, and the estimated
-total — hooks crossed (counted by an enabled run) x the measured cost of
-one check — must stay under 2% of the disabled run's wall time.
+The observer overhead contract (docs/architecture.md, "Observers") is
+asserted here too: with nothing subscribed every hook site costs one
+``sim.probe is not None`` test, and the estimated total — hook calls a
+counting subscriber sees x the measured cost of one test — must stay
+at or under 2% of the unobserved run's wall time, for SOR on the bus
+and 2DFFT on the switched fabric (the two media fire different hooks).
 
 Run as a pytest module (``pytest benchmarks/bench_runtime.py``) or as a
 script (``python benchmarks/bench_runtime.py``) to rewrite the JSON.
@@ -40,23 +41,8 @@ PROGRAMS = ("sor", "2dfft", "t2dfft", "seq", "hist", "airshed")
 
 RESULT_PATH = Path(__file__).parent / "BENCH_runtime.json"
 
-#: Counters that each mark ~one disabled-mode hook crossing.  The inner
-#: event loop no longer contributes any: ``run()`` dispatches once to
-#: the unobserved loop and ``Process`` binds its resume path at
-#: construction, so the per-event ``is None`` checks are hoisted out
-#: entirely (docs/architecture.md, "Event queue & scheduling").  What
-#: remains is roughly one check per counted action in each layer.
-_HOOK_COUNTERS = (
-    "bus.frames_offered",
-    "bus.frames_delivered",
-    "net.frames_dropped",
-    "nic.frames_queued",
-    "nic.frames_sent",
-    "tcp.segments_sent",
-    "tcp.acks_sent",
-    "pvm.messages_sent",
-    "fx.compute_phases",
-)
+#: (program, medium) pairs the disabled-overhead estimate runs.
+OVERHEAD_RUNS = (("sor", "ethernet"), ("2dfft", "switched"))
 
 
 def runtime_meta() -> dict:
@@ -116,111 +102,72 @@ def measure_program(name: str, scale: str = SCALE, seed: int = SEED,
     }
 
 
-def hook_crossings(counters: dict) -> int:
-    """Disabled-mode ``is not None`` checks one run performs.
+class HookCounter:
+    """A subscriber implementing every site hook: each call it counts
+    is one ``is not None`` test an unobserved run makes.
 
-    The event loop itself contributes none — the observer dispatch is
-    decided once per ``run()`` and once per ``Process`` construction,
-    not per event — so the crossings left are the instrumented layers':
-    roughly one per counted action (frame offered, segment sent,
-    message sent, compute phase, ...).
+    ``on_pop`` is left out because ``run()`` tests it once per run, not
+    once per event.
     """
-    return sum(int(counters.get(name, 0)) for name in _HOOK_COUNTERS)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, hook):
+        from repro.des.probe import HOOKS
+
+        if hook == "on_pop" or hook not in HOOKS:
+            raise AttributeError(hook)
+        return self._count
+
+    def _count(self, *_args) -> None:
+        self.calls += 1
 
 
 def per_check_seconds(samples: int = 200_000) -> float:
-    """Measured cost of one disabled telemetry check (attribute + is)."""
+    """Measured cost of one disabled hook test (attribute load + is),
+    best of three so a cold first pass does not count."""
     from repro.des import Simulator
 
     sim = Simulator()
-    assert sim.telemetry is None
-    return timeit.timeit(
-        "sim.telemetry is not None", globals={"sim": sim}, number=samples
-    ) / samples
+    assert sim.probe is None
+    return min(timeit.repeat("sim.probe is not None", globals={"sim": sim},
+                             number=samples, repeat=3)) / samples
 
 
-def disabled_overhead_estimate(name: str = "sor", scale: str = SCALE,
-                               seed: int = SEED) -> dict:
-    """Estimated telemetry-disabled overhead for one program run."""
-    result = measure_program(name, scale=scale, seed=seed, reps=REPS)
-    from repro.telemetry import profile_program
-
-    counters = profile_program(name, scale=scale, seed=seed).telemetry.counters
-    hooks = hook_crossings(counters)
-    check = per_check_seconds()
-    overhead = hooks * check
-    share = overhead / result["wall_seconds"] if result["wall_seconds"] else 0.0
-    return {
-        "program": name,
-        "hooks_crossed": hooks,
-        "per_check_seconds": check,
-        "overhead_seconds": round(overhead, 9),
-        "wall_seconds": result["wall_seconds"],
-        "overhead_share": round(share, 6),
-    }
-
-
-def qmon_hook_crossings(monitor) -> int:
-    """Disabled-mode ``monitor is None`` checks one switched run performs.
-
-    Each frame that transits an output port crosses three hook sites
-    (enqueue, service start, delivery); every drop crosses the
-    ``record_drop`` site once.  Token-wait crossings only occur for
-    reserved flows, which the measured programs do not carry, so they
-    are not counted here.
+def disabled_overhead_estimate(name: str = "sor", medium: str = "ethernet",
+                               scale: str = SCALE, seed: int = SEED) -> dict:
+    """Estimated cost of the hook sites in one unobserved run: hook calls
+    x the cost of one test, as a share of the best-of-``REPS`` wall time.
     """
-    totals = 3 * sum(port.frames_enqueued
-                     for port in monitor.ports.values())
-    drops = sum(len(port.drops) for port in monitor.ports.values())
-    return totals + drops + len(monitor.unrouted_drops)
-
-
-def qmon_per_check_seconds(samples: int = 200_000) -> float:
-    """Measured cost of one disabled queue-monitor check."""
-    from repro.des import Simulator
-    from repro.net.switched import SwitchedFabric
-
-    fabric = SwitchedFabric(Simulator())
-    assert fabric.monitor is None
-    return timeit.timeit(
-        "fabric.monitor is not None", globals={"fabric": fabric},
-        number=samples,
-    ) / samples
-
-
-def qmon_overhead_estimate(name: str = "2dfft", scale: str = SCALE,
-                           seed: int = SEED) -> dict:
-    """Estimated monitor-disabled overhead for one switched-route run.
-
-    Same contract as the telemetry estimate: hook crossings (counted by
-    a monitored run) x the measured cost of one ``is None`` check, as a
-    share of the unmonitored run's wall clock.
-    """
-    from repro.programs import run_measured
+    from repro.fx import FxCluster, FxRuntime
+    from repro.programs import make_program, run_measured
+    from repro.programs.calibration import ITERATIONS, work_model_for
 
     clock = _wall_clock()
     walls = []
     for _ in range(REPS):
         t0 = clock()
-        run_measured(name, scale=scale, seed=seed, route="switched")
+        run_measured(name, scale=scale, seed=seed,
+                     cluster_kwargs={"medium": medium})
         walls.append(clock() - t0)
     wall = min(walls)
-
-    detail: dict = {}
-    run_measured(name, scale=scale, seed=seed, route="switched",
-                 qmon=True, detail=detail)
-    hooks = qmon_hook_crossings(detail["qmon"])
-    check = qmon_per_check_seconds()
-    overhead = hooks * check
-    share = overhead / wall if wall else 0.0
+    # Subscribed after the cluster is built, as qmon is: components bind
+    # the probe at first resume, so the counter still sees every hook.
+    cluster = FxCluster(n_machines=5, seed=seed, medium=medium)
+    counter = cluster.sim.subscribe(HookCounter())
+    FxRuntime(cluster, 4, work_model_for(name, seed=seed)).execute(
+        make_program(name), ITERATIONS[name][scale])
+    check = per_check_seconds()
+    overhead = counter.calls * check
     return {
         "program": name,
-        "route": "switched",
-        "hooks_crossed": hooks,
+        "medium": medium,
+        "hook_calls": counter.calls,
         "per_check_seconds": check,
         "overhead_seconds": round(overhead, 9),
         "wall_seconds": round(wall, 6),
-        "overhead_share": round(share, 6),
+        "overhead_share": round(overhead / wall if wall else 0.0, 6),
     }
 
 
@@ -236,17 +183,11 @@ def test_all_programs_complete_and_report_throughput():
 
 
 def test_disabled_overhead_within_two_percent():
-    """The acceptance contract: disabled-mode telemetry costs <= 2% of
-    the SOR replication run's wall clock."""
-    estimate = disabled_overhead_estimate("sor")
-    assert estimate["overhead_share"] <= 0.02, estimate
-
-
-def test_qmon_disabled_overhead_within_two_percent():
-    """The switch-queue monitor acceptance contract: with no monitor
-    attached, the hook checks cost <= 2% of the switched 2DFFT run."""
-    estimate = qmon_overhead_estimate("2dfft")
-    assert estimate["overhead_share"] <= 0.02, estimate
+    """The observer contract: with nothing subscribed, the hook sites
+    cost <= 2% of the run's wall clock, on the bus and switched."""
+    for name, medium in OVERHEAD_RUNS:
+        estimate = disabled_overhead_estimate(name, medium)
+        assert estimate["overhead_share"] <= 0.02, estimate
 
 
 def test_bench_result_file_is_current_schema():
@@ -257,9 +198,9 @@ def test_bench_result_file_is_current_schema():
     assert {r["program"] for r in doc["results"]} == set(PROGRAMS)
     for row in doc["results"]:
         assert row["events_per_second"] > 0
-    assert doc["overhead"]["overhead_share"] <= 0.02
-    assert doc["qmon_overhead"]["route"] == "switched"
-    assert doc["qmon_overhead"]["overhead_share"] <= 0.02
+    overhead = doc["observer_overhead"]
+    assert [(r["program"], r["medium"]) for r in overhead] == list(OVERHEAD_RUNS)
+    assert all(r["overhead_share"] <= 0.02 for r in overhead)
 
 
 # -- script entry point -----------------------------------------------
@@ -274,16 +215,13 @@ def main() -> int:
               f"events={result['events_popped']:>8}  "
               f"events/s={result['events_per_second']:>9}  "
               f"packets={result['packets']:>7}")
-    overhead = disabled_overhead_estimate("sor")
-    print(f"disabled-mode overhead (sor): "
-          f"{overhead['overhead_share']:.4%} "
-          f"({overhead['hooks_crossed']} hooks x "
-          f"{overhead['per_check_seconds'] * 1e9:.1f} ns)")
-    qmon_overhead = qmon_overhead_estimate("2dfft")
-    print(f"qmon disabled-mode overhead (2dfft, switched): "
-          f"{qmon_overhead['overhead_share']:.4%} "
-          f"({qmon_overhead['hooks_crossed']} hooks x "
-          f"{qmon_overhead['per_check_seconds'] * 1e9:.1f} ns)")
+    overhead = [disabled_overhead_estimate(name, medium)
+                for name, medium in OVERHEAD_RUNS]
+    for est in overhead:
+        print(f"disabled-mode observer overhead ({est['program']}, "
+              f"{est['medium']}): {est['overhead_share']:.4%} "
+              f"({est['hook_calls']} hook calls x "
+              f"{est['per_check_seconds'] * 1e9:.1f} ns)")
     doc = {
         "schema": BENCH_SCHEMA_VERSION,
         "scale": SCALE,
@@ -291,8 +229,7 @@ def main() -> int:
         "reps": REPS,
         "meta": runtime_meta(),
         "results": results,
-        "overhead": overhead,
-        "qmon_overhead": qmon_overhead,
+        "observer_overhead": overhead,
     }
     RESULT_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"[wrote {RESULT_PATH}]")

@@ -218,7 +218,7 @@ class TraceRecorder:
         """The medium's drop events — frames the capture never saw
         because the network destroyed them (loss, corruption, queue
         overflow, excessive collisions)."""
-        return list(getattr(self._bus, "drop_log", ()))
+        return list(self._bus.drop_log)
 
     def __len__(self) -> int:
         return len(self._rows)

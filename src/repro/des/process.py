@@ -139,9 +139,6 @@ class Process(Event):
     def _resume_timed(self, event) -> None:
         """Advance the generator, attributing wall time to this process."""
         tel = self.sim.telemetry
-        if tel is None:
-            self._advance(event)
-            return
         wall_start = tel.clock()
         try:
             self._advance(event)

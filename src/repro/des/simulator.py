@@ -17,10 +17,10 @@ spectra, tables) is exactly repeatable given the same seeds:
   environment variable.  Queues return whole time batches, which the
   loop feeds back through the ready list.
 
-The sanitizer/telemetry observer checks are hoisted out of the inner
-loop: :meth:`run` dispatches once to a tight unobserved loop or to the
-instrumented one, so production runs pay nothing per event for the
-observability hooks (``repro profile`` documents the budget).
+The observer check is hoisted out of the inner loop: :meth:`run`
+dispatches once to a tight unobserved loop, or to the instrumented one
+when a subscriber watches event pops (see :mod:`repro.des.probe`), so
+production runs pay nothing per event for the observability hooks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Any, Generator, Iterable, Optional
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout, PROCESSED
+from .probe import Probe
 from .process import Process, _Resume
 from .queues import make_queue
 
@@ -40,14 +41,6 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in (
         "1", "true", "yes", "on"
     )
-
-
-def _env_sanitize() -> bool:
-    return _env_flag("REPRO_SANITIZE")
-
-
-def _env_telemetry() -> bool:
-    return _env_flag("REPRO_TELEMETRY")
 
 
 class Simulator:
@@ -98,27 +91,35 @@ class Simulator:
         self._seq: int = 0
         self.strict = strict
         self._active_process: Optional[Process] = None
+        #: Observers in subscription order; ``probe`` fans hooks out to them.
+        self.subscribers: tuple = ()
+        self.probe: Optional[Probe] = None
         if sanitize is None:
-            sanitize = _env_sanitize()
+            sanitize = _env_flag("REPRO_SANITIZE")
         self.sanitizer = None
         if sanitize:
             # Imported lazily: simlint is a layer above the DES core.
             from ..simlint.sanitizer import SimSanitizer
 
-            self.sanitizer = SimSanitizer()
-        self.telemetry = None
-        if telemetry is None:
-            if _env_telemetry():
-                # Imported lazily: telemetry is a layer above the core.
-                from ..telemetry import enable_process_telemetry
+            self.sanitizer = self.subscribe(SimSanitizer())
+        if telemetry is None and _env_flag("REPRO_TELEMETRY"):
+            # Imported lazily: telemetry is a layer above the core.
+            from ..telemetry import enable_process_telemetry
 
-                self.telemetry = enable_process_telemetry()
+            telemetry = enable_process_telemetry()
         elif telemetry is True:
             from ..telemetry import Telemetry
 
-            self.telemetry = Telemetry()
-        elif telemetry:  # an existing Telemetry instance
-            self.telemetry = telemetry
+            telemetry = Telemetry()
+        self.telemetry = self.subscribe(telemetry) if telemetry else None
+
+    def subscribe(self, observer):
+        """Attach ``observer`` to every hook of :data:`repro.des.probe.HOOKS`
+        it implements, and return it.  Subscribe before :meth:`run`:
+        components bind ``self.probe`` at their first resume."""
+        self.subscribers += (observer,)
+        self.probe = Probe(self.subscribers)
+        return observer
 
     # -- time --------------------------------------------------------
     @property
@@ -199,10 +200,9 @@ class Simulator:
             self._ready_time = self._queue.pop_batch(ready)
         entry = ready.pop(0)
         time = self._ready_time
-        if self.sanitizer is not None:
-            self.sanitizer.on_pop(time, self._now, entry)
-        if self.telemetry is not None:
-            self.telemetry.on_event_popped()
+        probe = self.probe
+        if probe is not None:
+            probe.on_pop(time, self._now, entry)
         self._now = time
         entry._process()
 
@@ -258,22 +258,18 @@ class Simulator:
             raise
 
     def _run_observed(self) -> None:
-        """The same loop with per-event sanitizer/telemetry hooks."""
+        """The same loop with the probe's per-event ``on_pop`` hook."""
         ready = self._ready
         queue = self._queue
         pop_batch = queue.pop_batch
-        san = self.sanitizer
-        tel = self.telemetry
+        on_pop = self.probe.on_pop
         i = 0
         try:
             while True:
                 if i < len(ready):
                     entry = ready[i]
                     i += 1
-                    if san is not None:
-                        san.on_pop(self._ready_time, self._now, entry)
-                    if tel is not None:
-                        tel.on_event_popped()
+                    on_pop(self._ready_time, self._now, entry)
                     self._now = self._ready_time
                     entry._process()
                 else:
@@ -315,7 +311,8 @@ class Simulator:
             stop_event.callbacks.append(self._stop_on)
 
         try:
-            if self.sanitizer is None and self.telemetry is None:
+            probe = self.probe
+            if probe is None or not probe.watches("on_pop"):
                 self._run_fast()
             else:
                 self._run_observed()

@@ -152,7 +152,7 @@ class FxCluster:
 
     def drop_events(self) -> List:
         """All frames the network destroyed, in time order."""
-        return list(getattr(self.bus, "drop_log", ()))
+        return list(self.bus.drop_log)
 
     def fault_report(self) -> dict:
         """Counters for the run summary: drops by reason, retransmission
@@ -209,11 +209,9 @@ class FxContext:
         duration = self.work_model.duration(work, now=now)
         if duration > 0:
             self.runtime.phase_log.append((self.rank, now, now + duration))
-        tel = sim.telemetry
-        if tel is not None:
-            tel.count("fx.compute_phases")
-            tel.complete("compute", "fx.program", f"rank{self.rank}",
-                         now, now + duration, rank=self.rank, work=work)
+        probe = sim.probe
+        if probe is not None:
+            probe.on_compute(self.rank, now, now + duration, work)
         return duration
 
     # -- point-to-point ---------------------------------------------------
@@ -325,41 +323,29 @@ class FxRuntime:
 
     def launch(self, program: FxProgram, iterations: int) -> List:
         """Start all rank processes; returns the process handles."""
-        tel = self.sim.telemetry
+        probe = self.sim.probe
         procs = []
         for ctx in self.contexts:
             proc = self.sim.process(
                 program.run(ctx, iterations), name=f"{program.name}-rank{ctx.rank}"
             )
-            if tel is not None:
-                span = tel.begin(f"{program.name}-rank{ctx.rank}", "fx.program",
-                                 f"rank{ctx.rank}", self.sim.now,
-                                 rank=ctx.rank, iterations=iterations)
+            if probe is not None:
+                probe.on_rank_begin(program, ctx, iterations, self.sim.now)
                 proc.callbacks.append(
-                    lambda _ev, _s=span: tel.end(_s, self.sim.now)
+                    lambda _ev, _c=ctx: probe.on_rank_end(program, _c, self.sim.now)
                 )
             procs.append(proc)
         return procs
 
     def execute(self, program: FxProgram, iterations: int) -> PacketTrace:
         """Run the program to completion and return the captured trace."""
-        tel = self.sim.telemetry
-        run_span = None
-        if tel is not None:
-            run_span = tel.begin(
-                f"run {program.name}", "harness.runner", "run",
-                self.sim.now, root=True,
-                program=program.name, nprocs=self.nprocs,
-                iterations=iterations, seed=self.cluster.seed,
-            )
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_run_begin(self, program, iterations, self.sim.now)
         procs = self.launch(program, iterations)
         self.sim.run(until=self.sim.all_of(procs))
-        if self.sim.sanitizer is not None:
-            # End-of-run conservation: NicStats vs. the bus drop log.
-            self.sim.sanitizer.verify_end_of_run()
-        if run_span is not None:
-            tel.end(run_span, self.sim.now)
-            tel.gauge("run.sim_seconds", self.sim.now)
+        if probe is not None:
+            probe.on_run_end(self, program, self.sim.now)
         return self.cluster.trace()
 
 

@@ -108,6 +108,9 @@ class EthernetBus:
         per successfully transmitted frame to decide loss/corruption.
     """
 
+    #: The subsystem observers file this medium's events under.
+    layer = "net.medium"
+
     def __init__(
         self,
         sim: Simulator,
@@ -137,8 +140,6 @@ class EthernetBus:
         self._window: Optional[_Window] = None
         self._stations: Dict[int, Callable[[EthernetFrame, float], None]] = {}
         self._listeners: List[Callable[[EthernetFrame, float], None]] = []
-        if sim.sanitizer is not None:
-            sim.sanitizer.attach_bus(self)
 
     # -- wiring --------------------------------------------------------
     def attach(self, station_id: int, rx: Callable[[EthernetFrame, float], None]):
@@ -153,14 +154,14 @@ class EthernetBus:
 
     def record_drop(self, reason: str, frame: EthernetFrame) -> None:
         """Log a destroyed frame (callers keep their own counters)."""
+        now = self.sim.now
         self.drop_log.append(
-            DropEvent(time=self.sim.now, reason=reason,
+            DropEvent(time=now, reason=reason,
                       src=frame.src, dst=frame.dst, size=frame.size)
         )
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.count("net.frames_dropped")
-            tel.count(f"drops.{reason}")
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_drop(frame, reason, now)
 
     @property
     def capacity_bytes_per_s(self) -> float:
@@ -179,14 +180,7 @@ class EthernetBus:
         ``max_attempts`` collisions.
         """
         sim = self.sim
-        tel = sim.telemetry
-        san = sim.sanitizer
-        span = None
-        if tel is not None:
-            tel.count("bus.frames_offered")
-            span = tel.begin(f"frame {frame.size}B", "net.medium",
-                             f"nic{frame.src}", sim._now,
-                             src=frame.src, dst=frame.dst, size=frame.size)
+        probe = sim.probe
         # Hot path: one transmit per frame, several yields each.  Fixed
         # parameters are localized and every wait is a bare-delay sleep
         # (see the DES sleep protocol) — same events at the same
@@ -225,8 +219,8 @@ class EthernetBus:
             if w.members > 1 and not w.collided:
                 w.collided = True
                 stats.collisions += 1
-                if tel is not None:
-                    tel.count("bus.collisions")
+                if probe is not None:
+                    probe.on_collision(self, sim._now)
 
             yield contention_window  # sleep: contention window
 
@@ -250,21 +244,18 @@ class EthernetBus:
                 if self.max_attempts is not None and attempt >= self.max_attempts:
                     stats.frames_dropped += 1
                     self.record_drop("excess-collisions", frame)
-                    if span is not None:
-                        span.args["outcome"] = "excess-collisions"
-                        tel.end(span, sim._now)
                     return False
                 backoff = self.rng.randrange(0, 1 << min(attempt, 10))
-                if tel is not None:
-                    tel.count("bus.backoff_rounds")
+                if probe is not None:
+                    probe.on_backoff(self, frame, attempt, sim._now)
                 yield self.jam_time + backoff * self.slot_time  # sleep: backoff
                 continue
 
             # Sole transmitter: hold the medium for the frame + IFG.
             tx_time = frame.wire_bits / self.bandwidth_bps
             now = sim._now
-            if san is not None:
-                san.on_bus_transmission(now, now + tx_time)
+            if probe is not None:
+                probe.on_bus_transmission(now, now + tx_time)
             busy = now + tx_time + self.ifg_time
             if busy > self._busy_until:
                 self._busy_until = busy
@@ -277,16 +268,8 @@ class EthernetBus:
                 if fate is not None:
                     stats.frames_dropped += 1
                     self.record_drop(fate, frame)
-                    if span is not None:
-                        span.args["outcome"] = fate
-                        span.args["attempts"] = attempt + 1
-                        tel.end(span, sim._now)
                     return True
             self._deliver(frame)
-            if span is not None:
-                span.args["outcome"] = "delivered"
-                span.args["attempts"] = attempt + 1
-                tel.end(span, sim._now)
             return True
 
     # -- delivery ---------------------------------------------------------
@@ -296,10 +279,9 @@ class EthernetBus:
         stats = self.stats
         stats.frames_delivered += 1
         stats.bytes_delivered += frame.size
-        tel = sim.telemetry
-        if tel is not None:
-            tel.count("bus.frames_delivered")
-            tel.count("bus.bytes_delivered", frame.size)
+        probe = sim.probe
+        if probe is not None:
+            probe.on_delivered(self, frame, now)
         for listener in self._listeners:
             listener(frame, now)
         if frame.dst == BROADCAST:

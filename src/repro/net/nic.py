@@ -46,6 +46,9 @@ class Nic:
         (the default) queues without bound.
     """
 
+    #: The subsystem observers file this queue's events under.
+    layer = "net.nic"
+
     def __init__(self, sim: Simulator, bus: EthernetBus, station_id: int,
                  queue_limit: Optional[int] = None):
         if queue_limit is not None and queue_limit < 1:
@@ -58,8 +61,6 @@ class Nic:
         self._queue: Store = Store(sim)
         self._rx_handler: Optional[Callable[[EthernetFrame, float], None]] = None
         bus.attach(station_id, self._on_rx)
-        if sim.sanitizer is not None:
-            sim.sanitizer.register_nic(self)
         self._tx_proc = sim.process(self._tx_loop(), name=f"nic{station_id}-tx")
 
     # -- transmit --------------------------------------------------------
@@ -81,9 +82,7 @@ class Nic:
         if (self.queue_limit is not None
                 and len(queue) >= self.queue_limit):
             self.stats.frames_dropped += 1
-            record = getattr(self.bus, "record_drop", None)
-            if record is not None:
-                record("queue-overflow", frame)
+            self.bus.record_drop("queue-overflow", frame)
             done.succeed(False)
             return done
         queue.put((frame, done))
@@ -91,10 +90,9 @@ class Nic:
         stats = self.stats
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.count("nic.frames_queued")
-            tel.gauge_max("nic.max_queue_depth", depth)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_enqueue(self, frame, self.sim._now)
         return done
 
     @property
@@ -102,23 +100,27 @@ class Nic:
         return len(self._queue)
 
     def _tx_loop(self):
-        # Per-frame hot loop: the observer handles and collaborators are
-        # fixed for the simulator's lifetime, so bind them once.
+        # Per-frame hot loop: the collaborators and the observer fan-out
+        # are fixed once the run starts, so bind them at first resume.
+        sim = self.sim
         get = self._queue.get
         transmit = self.bus.transmit
         stats = self.stats
-        tel = self.sim.telemetry
+        probe = sim.probe
+        if probe is not None:
+            probe.on_nic_up(self)
         while True:
             frame, done = yield get()
+            if probe is not None:
+                probe.on_frame_offered(self, frame, sim._now)
             delivered = yield from transmit(frame)
             if delivered:
                 stats.frames_sent += 1
                 stats.bytes_sent += frame.size
-                if tel is not None:
-                    tel.count("nic.frames_sent")
-                    tel.count("nic.bytes_sent", frame.size)
             else:
                 stats.frames_dropped += 1
+            if probe is not None:
+                probe.on_frame_sent(self, frame, delivered, sim._now)
             done.succeed(delivered)
 
     # -- receive ---------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..des import Simulator, Store
 from .frame import BROADCAST, EthernetFrame
-from .medium import BusStats, DropEvent
+from .medium import BusStats, DropEvent, EthernetBus
 
 __all__ = ["SwitchedFabric", "Reservation"]
 
@@ -69,6 +69,9 @@ class Reservation:
 class _OutputPort:
     """One station's downlink: strict priority to reserved flows."""
 
+    #: The subsystem observers file this queue's events under.
+    layer = "net.switched"
+
     def __init__(self, fabric: "SwitchedFabric", station_id: int):
         self.fabric = fabric
         self.station_id = station_id
@@ -85,15 +88,16 @@ class _OutputPort:
         else:
             self.best_effort.append(frame)
         self.queued_bytes += frame.size
-        mon = self.fabric.monitor
-        if mon is not None:
-            mon.on_enqueue(self.station_id, frame, self.fabric.sim.now)
+        probe = self.fabric.sim.probe
+        if probe is not None:
+            probe.on_enqueue(self, frame, self.fabric.sim.now)
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
     def _drain(self):
         sim = self.fabric.sim
         link_bps = self.fabric.link_bps
+        probe = sim.probe
         while True:
             if not self.reserved and not self.best_effort:
                 self._wakeup = sim.event()
@@ -110,9 +114,8 @@ class _OutputPort:
                 elif not self.best_effort:
                     # nothing else to send: wait for tokens
                     wait = res.time_until(head.size)
-                    mon = self.fabric.monitor
-                    if mon is not None:
-                        mon.on_token_wait(self.station_id, head, sim.now, wait)
+                    if probe is not None:
+                        probe.on_token_wait(self, head, sim.now, wait)
                     yield sim.timeout(wait)
                     continue
             if frame is None and self.best_effort:
@@ -120,24 +123,14 @@ class _OutputPort:
             if frame is None:  # pragma: no cover - defensive
                 continue
             tx = frame.wire_bits / link_bps
-            mon = self.fabric.monitor
-            if mon is not None:
-                mon.on_service_start(self.station_id, frame, sim.now, tx)
-            tel = sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(f"downlink {frame.size}B", "net.switched",
-                                 f"port{self.station_id}", sim.now,
-                                 src=frame.src, dst=frame.dst)
+            if probe is not None:
+                probe.on_service_start(self, frame, sim.now, tx)
             yield sim.timeout(tx)
             self.queued_bytes -= frame.size
             self.fabric.stats.busy_time += tx
             self.fabric._deliver(frame, self.station_id)
-            mon = self.fabric.monitor
-            if mon is not None:
-                mon.on_delivered(self.station_id, frame, sim.now)
-            if span is not None:
-                tel.end(span, sim.now)
+            if probe is not None:
+                probe.on_delivered(self, frame, sim.now)
 
 
 class SwitchedFabric:
@@ -152,6 +145,9 @@ class SwitchedFabric:
         Fixed store-and-forward latency added between uplink and the
         output queue.
     """
+
+    #: The subsystem observers file this medium's events under.
+    layer = "net.switched"
 
     def __init__(
         self,
@@ -169,28 +165,15 @@ class SwitchedFabric:
         self._listeners: List[Callable[[EthernetFrame, float], None]] = []
         self._ports: Dict[int, _OutputPort] = {}
         self._reservations: Dict[Tuple[int, int], Reservation] = {}
-        # Optional observer-only queue monitor (repro.netmon.FabricMonitor).
-        self.monitor = None
 
     def attach_monitor(self, monitor):
-        """Attach a pure-observer queue monitor before the run starts."""
-        if self.monitor is not None:
-            raise ValueError("a queue monitor is already attached")
-        self.monitor = monitor.attach(self)
-        return self.monitor
+        """Subscribe a pure-observer queue monitor
+        (:class:`~repro.netmon.FabricMonitor`, one per fabric) before the
+        run starts; returns it."""
+        return monitor.attach(self)
 
-    def record_drop(self, reason: str, frame: EthernetFrame) -> None:
-        """Log a destroyed frame (same contract as the shared bus)."""
-        self.drop_log.append(
-            DropEvent(time=self.sim.now, reason=reason,
-                      src=frame.src, dst=frame.dst, size=frame.size)
-        )
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.count("net.frames_dropped")
-            tel.count(f"drops.{reason}")
-        if self.monitor is not None:
-            self.monitor.on_drop(frame, reason, self.sim.now)
+    #: Same contract as the shared bus.
+    record_drop = EthernetBus.record_drop
 
     # -- interface shared with EthernetBus ---------------------------------
     @property
@@ -220,17 +203,8 @@ class SwitchedFabric:
         the calling NIC serializes its own uplink.
         """
         sim = self.sim
-        tel = sim.telemetry
-        span = None
-        if tel is not None:
-            tel.count("bus.frames_offered")
-            span = tel.begin(f"uplink {frame.size}B", "net.switched",
-                             f"nic{frame.src}", sim.now,
-                             src=frame.src, dst=frame.dst, size=frame.size)
         yield sim.timeout(self.tx_time(frame))
         yield sim.timeout(self.switch_latency)
-        if span is not None:
-            tel.end(span, sim.now)
         if frame.dst == BROADCAST:
             for sid, port in self._ports.items():
                 if sid != frame.src:
@@ -286,10 +260,6 @@ class SwitchedFabric:
         now = self.sim.now
         self.stats.frames_delivered += 1
         self.stats.bytes_delivered += frame.size
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.count("bus.frames_delivered")
-            tel.count("bus.bytes_delivered", frame.size)
         for listener in self._listeners:
             listener(frame, now)
         rx = self._stations.get(dst_station)

@@ -1,9 +1,10 @@
 """Per-port queue monitors for the switched fabric.
 
 The monitors are pure observers in the same sense as :mod:`repro.telemetry`
-and the simlint sanitizer: they are attached to a :class:`SwitchedFabric`
-before the run, receive callbacks from the fabric's output ports at queue
-transitions, and keep all bookkeeping outside simulation state.  They never
+and the simlint sanitizer: attached to a :class:`SwitchedFabric` before the
+run, they subscribe to its simulator's probe (:mod:`repro.des.probe`),
+receive the output ports' queue-transition hooks, and keep all bookkeeping
+outside simulation state.  They never
 create events, never draw random numbers, and never mutate frames — a
 monitored run produces a byte-identical trace to an unmonitored one.
 
@@ -345,8 +346,9 @@ class FabricMonitor:
     """Fabric-wide queue monitor: one :class:`PortMonitor` per output port.
 
     Attach with ``fabric.attach_monitor(FabricMonitor(config))`` before the
-    run starts.  The fabric calls the ``on_*`` hooks; everything here is
-    observer-only bookkeeping.
+    run starts.  The hooks record switch output ports only — NIC transmit
+    queues fire ``on_enqueue`` too — and everything here is observer-only
+    bookkeeping.
     """
 
     def __init__(self, config=None) -> None:
@@ -358,9 +360,14 @@ class FabricMonitor:
         self._telemetry = None
 
     def attach(self, fabric) -> "FabricMonitor":
+        """Subscribe to ``fabric``'s simulator; a fabric takes one monitor."""
+        sim = fabric.sim
+        if any(isinstance(s, FabricMonitor) and s.fabric is fabric
+               for s in sim.subscribers):
+            raise ValueError("a queue monitor is already attached")
         self.fabric = fabric
-        self._telemetry = fabric.sim.telemetry
-        return self
+        self._telemetry = sim.telemetry
+        return sim.subscribe(self)
 
     def port(self, station_id: int) -> PortMonitor:
         mon = self.ports.get(station_id)
@@ -370,19 +377,21 @@ class FabricMonitor:
             )
         return mon
 
-    # -- hooks called by the fabric ----------------------------------------
+    # -- probe hooks -------------------------------------------------------
 
-    def on_enqueue(self, station_id: int, frame, now: float) -> None:
-        self.port(station_id).on_enqueue(frame, now)
+    def on_enqueue(self, queue, frame, now: float) -> None:
+        if queue.layer == "net.switched":
+            self.port(queue.station_id).on_enqueue(frame, now)
 
-    def on_service_start(self, station_id: int, frame, now: float, tx: float) -> None:
-        self.port(station_id).on_service_start(frame, now, tx)
+    def on_service_start(self, port, frame, now: float, tx: float) -> None:
+        self.port(port.station_id).on_service_start(frame, now, tx)
 
-    def on_token_wait(self, station_id: int, frame, now: float, wait: float) -> None:
-        self.port(station_id).on_token_wait(frame, now, wait)
+    def on_token_wait(self, port, frame, now: float, wait: float) -> None:
+        self.port(port.station_id).on_token_wait(frame, now, wait)
 
-    def on_delivered(self, station_id: int, frame, now: float) -> None:
-        self.port(station_id).on_delivered(frame, now)
+    def on_delivered(self, where, frame, now: float) -> None:
+        if where.layer == "net.switched":
+            self.port(where.station_id).on_delivered(frame, now)
 
     def on_drop(self, frame, reason: str, now: float) -> None:
         mon = self.ports.get(frame.dst)

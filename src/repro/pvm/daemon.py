@@ -74,20 +74,25 @@ class PvmDaemon:
         return (self.fault_injector is not None
                 and self.fault_injector.crashed(self.stack.host_id, now))
 
+    def _drop(self, what) -> None:
+        """Count a message or keepalive swallowed while this daemon is down."""
+        self.drops += 1
+        if self.fault_injector is not None:
+            self.fault_injector.daemon_drops += 1
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_daemon_drop(self, what)
+
     # -- daemon route ----------------------------------------------------
     def forward(self, task_msg, dst_host: int) -> None:
         """Send a task message to the peer daemon on ``dst_host`` via UDP."""
-        tel = self.sim.telemetry
         if self._crashed(self.sim.now):
-            self.drops += 1
-            if self.fault_injector is not None:
-                self.fault_injector.daemon_drops += 1
-            if tel is not None:
-                tel.count("pvm.daemon_drops")
+            self._drop(task_msg)
             return
         self.datagrams_routed += 1
-        if tel is not None:
-            tel.count("pvm.datagrams_routed")
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_daemon_route(self, task_msg, dst_host)
         self.sock.sendto(
             task_msg.nbytes,
             dst_host=dst_host,
@@ -101,12 +106,7 @@ class PvmDaemon:
             now = self.sim.now
             if self._crashed(now):
                 # A crashed daemon's socket swallows everything.
-                self.drops += 1
-                if self.fault_injector is not None:
-                    self.fault_injector.daemon_drops += 1
-                tel = self.sim.telemetry
-                if tel is not None:
-                    tel.count("pvm.daemon_drops")
+                self._drop(dgram)
                 continue
             task_msg = dgram.obj
             if task_msg is None:
@@ -125,6 +125,7 @@ class PvmDaemon:
 
     # -- keepalive chatter -------------------------------------------------
     def _keepalive_loop(self):
+        probe = self.sim.probe
         # Stagger daemons so their keepalives don't all collide.
         yield self.sim.timeout(
             self.keepalive_interval * (self.stack.host_id + 1)
@@ -132,7 +133,6 @@ class PvmDaemon:
         )
         while True:
             if not self._crashed(self.sim.now):
-                tel = self.sim.telemetry
                 for peer in self.vm.machines:
                     if peer.stack.host_id != self.stack.host_id:
                         self.sock.sendto(
@@ -141,6 +141,6 @@ class PvmDaemon:
                             dst_port=PVMD_PORT,
                             obj=None,
                         )
-                        if tel is not None:
-                            tel.count("pvm.keepalives_sent")
+                        if probe is not None:
+                            probe.on_keepalive(self, peer.stack.host_id)
             yield self.sim.timeout(self.keepalive_interval)

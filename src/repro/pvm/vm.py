@@ -188,29 +188,23 @@ class VirtualMachine:
         to ``yield from`` inside the sending task's process.
 
         Blocks (in simulated time) until the message is accepted by the
-        transport — PVM's ``pvm_send`` semantics.  Without telemetry the
+        transport — PVM's ``pvm_send`` semantics.  With no observer the
         inner generator is returned directly: no wrapper frame, so every
         resume of the send path skips one delegation hop.
         """
         src.messages_sent += 1
-        tel = self.sim.telemetry
-        if tel is None:
+        probe = self.sim.probe
+        if probe is None:
             return self._send_inner(src, dst, message, route)
-        return self._send_traced(src, dst, message, route, tel)
+        return self._send_observed(src, dst, message, route, probe)
 
-    def _send_traced(self, src: PvmTask, dst: PvmTask, message: PvmMessage,
-                     route: Route, tel):
-        tel.count("pvm.messages_sent")
-        tel.count("pvm.message_bytes", message.data_bytes)
-        span = tel.begin(
-            f"pvm_send {message.data_bytes}B", "pvm.vm",
-            f"host{src.host_id}", self.sim.now,
-            src_task=src.tid, dst_task=dst.tid, route=route.value,
-        )
+    def _send_observed(self, src: PvmTask, dst: PvmTask, message: PvmMessage,
+                       route: Route, probe):
+        probe.on_pvm_send_begin(src, dst, message, route, self.sim.now)
         try:
             yield from self._send_inner(src, dst, message, route)
         finally:
-            tel.end(span, self.sim.now)
+            probe.on_pvm_send_end(src, dst, message, self.sim.now)
 
     def _send_inner(self, src: PvmTask, dst: PvmTask, message: PvmMessage,
                     route: Route):

@@ -1,18 +1,19 @@
 """The runtime simulation sanitizer.
 
 Enabled with ``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1``, a
-:class:`SimSanitizer` rides along with a simulation and asserts the
-invariants the determinism contract rests on:
+:class:`SimSanitizer` subscribes to the simulator's probe
+(:mod:`repro.des.probe`) and asserts the invariants the determinism
+contract rests on:
 
 * **causality** — no event pops off the heap with a timestamp behind
   the clock (:meth:`on_pop`);
 * **medium exclusivity** — successful frame transmissions on the shared
   Ethernet are monotone and non-overlapping (:meth:`on_bus_transmission`;
   post-collision jam bursts legitimately overlap and are exempt);
-* **per-NIC conservation** — at end of run, every frame a NIC counted as
-  sent is accounted for on the wire (delivered, lost, or corrupted) and
-  every adapter-level drop appears in the bus drop log
-  (:meth:`verify_end_of_run`, reconciling ``NicStats`` against
+* **per-NIC conservation** — at end of run, every frame a NIC on the
+  shared bus counted as sent is accounted for on the wire (delivered,
+  lost, or corrupted) and every adapter-level drop appears in the bus
+  drop log (:meth:`verify_end_of_run`, reconciling ``NicStats`` against
   ``bus.drop_log``);
 * **TCP stream sanity** — per pipe, new data segments extend the stream
   contiguously, retransmissions never invent unsent bytes, and
@@ -29,7 +30,7 @@ lazily, so there is no cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["SanitizerError", "SimSanitizer"]
 
@@ -59,18 +60,16 @@ class SanitizerError(AssertionError):
 
 
 class SimSanitizer:
-    """Invariant checks attached to one :class:`~repro.des.Simulator`.
+    """Invariant checks subscribed to one :class:`~repro.des.Simulator`.
 
-    Components self-register at construction time when the driving
-    simulator carries a sanitizer (``sim.sanitizer is not None``); every
-    hook is a cheap synchronous assertion.
+    Every hook is a cheap synchronous assertion or a tally for the
+    end-of-run check.
     """
 
     def __init__(self):
         #: Total assertions evaluated (visibility for tests/--stats).
         self.checks = 0
         self._last_tx_end = 0.0
-        self._bus = None
         self._nics: List = []
         self._delivered_by_src: Dict[int, int] = {}
         # id(pipe) -> [highest byte ever sent, last cumulative ack, pipe]
@@ -87,13 +86,13 @@ class SimSanitizer:
                 event=event, time=now,
             )
 
-    # -- shared medium -------------------------------------------------
-    def attach_bus(self, bus) -> None:
-        """Observe a bus: count delivered frames per source station."""
-        self._bus = bus
-        bus.add_listener(self._on_delivered)
+    # -- network -------------------------------------------------------
+    def on_nic_up(self, nic) -> None:
+        """A NIC's transmit process started: check it at end of run."""
+        self._nics.append(nic)
 
-    def _on_delivered(self, frame, now: float) -> None:
+    def on_delivered(self, where, frame, now: float) -> None:
+        """Count a delivered frame against its source station."""
         self._delivered_by_src[frame.src] = \
             self._delivered_by_src.get(frame.src, 0) + 1
 
@@ -113,9 +112,6 @@ class SimSanitizer:
                 time=start,
             )
         self._last_tx_end = end
-
-    def register_nic(self, nic) -> None:
-        self._nics.append(nic)
 
     # -- TCP streams ---------------------------------------------------
     def _pipe_state(self, pipe) -> list:
@@ -172,30 +168,36 @@ class SimSanitizer:
         state[1] = ack_no
 
     # -- end-of-run conservation --------------------------------------
+    def on_run_end(self, runtime, program, now: float) -> None:
+        self.verify_end_of_run()
+
     def verify_end_of_run(self) -> None:
         """Reconcile per-NIC counters against the wire's accounting.
 
-        For every registered NIC::
+        For every NIC on the shared bus::
 
             frames_sent    == delivered + lost-on-wire + corrupted
             frames_dropped == queue-overflow + excess-collision drops
 
-        where the right-hand sides come from the bus's delivered-frame
-        stream and ``drop_log``.  Frames still queued at shutdown are in
-        neither ledger, so the equations hold mid-flight-free.
+        where the right-hand sides come from the delivered-frame hooks
+        and the bus's ``drop_log``.  Frames still queued at shutdown are
+        in neither ledger, so the equations hold mid-flight-free.  The
+        switched fabric is exempt: broadcast fan-out, ``no-port`` drops
+        and frames still queued at output ports break the first one.
         """
-        if self._bus is None:
-            return
-        drops: Dict[Tuple[str, int], int] = {}
-        for event in self._bus.drop_log:
-            key = (event.reason, event.src)
-            drops[key] = drops.get(key, 0) + 1
         for nic in self._nics:
+            bus = nic.bus
+            if bus.layer != "net.medium":
+                continue
             self.checks += 1
             host = nic.station_id
+            drops: Dict[str, int] = {}
+            for event in bus.drop_log:
+                if event.src == host:
+                    drops[event.reason] = drops.get(event.reason, 0) + 1
             delivered = self._delivered_by_src.get(host, 0)
-            lost = drops.get(("loss", host), 0)
-            corrupted = drops.get(("corrupt", host), 0)
+            lost = drops.get("loss", 0)
+            corrupted = drops.get("corrupt", 0)
             wire = delivered + lost + corrupted
             if nic.stats.frames_sent != wire:
                 raise SanitizerError(
@@ -205,8 +207,8 @@ class SimSanitizer:
                     f"lost={lost}, corrupted={corrupted})",
                     host=host, time=nic.sim.now,
                 )
-            overflow = drops.get(("queue-overflow", host), 0)
-            excess = drops.get(("excess-collisions", host), 0)
+            overflow = drops.get("queue-overflow", 0)
+            excess = drops.get("excess-collisions", 0)
             if nic.stats.frames_dropped != overflow + excess:
                 raise SanitizerError(
                     f"NIC drop accounting violated on host {host}: "

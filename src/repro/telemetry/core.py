@@ -1,13 +1,14 @@
 """Telemetry core: spans, counters, gauges, and wall-time accounting.
 
 A :class:`Telemetry` instance rides along with a simulation the same way
-the runtime sanitizer does: components call its hooks when the driving
-simulator carries one (``sim.telemetry is not None``), and the disabled
-cost of every instrumentation point is a single attribute check.  Like
-the sanitizer, telemetry is strictly an **observer** — it creates no
-events, draws no random numbers, and keeps all bookkeeping outside
-simulation state, so an instrumented run produces byte-identical traces
-to an uninstrumented one (enforced by golden-digest tests).
+the runtime sanitizer does: it subscribes to the simulator's probe
+(:mod:`repro.des.probe`) and turns the hooks it implements into spans
+and counters; with nothing subscribed, every hook site costs one
+``is None`` test.  Like the sanitizer, telemetry is strictly an
+**observer** — it creates no events, draws no random numbers, and keeps
+all bookkeeping outside simulation state, so an instrumented run
+produces byte-identical traces to an uninstrumented one (enforced by
+golden-digest tests).
 
 Three kinds of measurement are collected:
 
@@ -167,6 +168,12 @@ class Telemetry:
         self._next_span_id = 0
         self._open_by_track: Dict[str, List[Span]] = {}
         self._root: Optional[Span] = None
+        #: Spans the simulation hooks opened, by ``id()`` of what they
+        #: follow (frame, output port, segment, message, rank, run).  The
+        #: entry holds the subject, so its id is not reused while open.
+        self._open_by_subject: Dict[int, tuple] = {}
+        #: Attempts so far of each frame on the shared bus, by ``id()``.
+        self._attempts: Dict[int, int] = {}
 
     # -- counters / gauges --------------------------------------------
     def count(self, name: str, value: float = 1) -> None:
@@ -246,11 +253,146 @@ class Telemetry:
         """Spans begun but not yet ended, across all tracks."""
         return [s for stack in self._open_by_track.values() for s in stack]
 
-    # -- hot hooks -----------------------------------------------------
-    def on_event_popped(self) -> None:
-        """One heap pop in ``Simulator.step`` (the hottest hook)."""
+    # -- simulation hooks (repro.des.probe) ------------------------------
+    def on_pop(self, time: float, now: float, entry) -> None:
+        """One event left the schedule (the hottest hook)."""
         self.counters["des.events_popped"] = \
             self.counters.get("des.events_popped", 0) + 1
+
+    def _open(self, subject, name: str, category: str, track: str,
+              sim_time: float, **args: Any) -> None:
+        self._open_by_subject[id(subject)] = (
+            subject, self.begin(name, category, track, sim_time, **args))
+
+    def _close(self, subject, sim_time: float) -> Optional[Span]:
+        entry = self._open_by_subject.pop(id(subject), None)
+        if entry is None:
+            return None
+        return self.end(entry[1], sim_time)
+
+    def on_enqueue(self, queue, frame, now: float) -> None:
+        if queue.layer == "net.nic":
+            self.count("nic.frames_queued")
+            self.gauge_max("nic.max_queue_depth", queue.queue_depth)
+
+    def on_frame_offered(self, nic, frame, now: float) -> None:
+        self.count("bus.frames_offered")
+        layer = nic.bus.layer
+        kind = "frame" if layer == "net.medium" else "uplink"
+        self._open(frame, f"{kind} {frame.size}B", layer, f"nic{frame.src}",
+                   now, src=frame.src, dst=frame.dst, size=frame.size)
+        self._attempts[id(frame)] = 1
+
+    def on_collision(self, bus, now: float) -> None:
+        self.count("bus.collisions")
+
+    def on_backoff(self, bus, frame, attempt: int, now: float) -> None:
+        self.count("bus.backoff_rounds")
+        if id(frame) in self._attempts:
+            self._attempts[id(frame)] = attempt + 1
+
+    def on_delivered(self, where, frame, now: float) -> None:
+        self.count("bus.frames_delivered")
+        self.count("bus.bytes_delivered", frame.size)
+        if self._close(where, now) is None:  # not a downlink: the bus
+            self._end_frame(frame, now, "delivered")
+
+    def on_drop(self, frame, reason: str, now: float) -> None:
+        self.count("net.frames_dropped")
+        self.count(f"drops.{reason}")
+        self._end_frame(frame, now, reason)
+
+    def on_frame_sent(self, nic, frame, sent: bool, now: float) -> None:
+        if sent:
+            self.count("nic.frames_sent")
+            self.count("nic.bytes_sent", frame.size)
+        self._end_frame(frame, now)
+
+    def _end_frame(self, frame, now: float, outcome: Optional[str] = None) -> None:
+        """Close a frame's span by frame identity, not by track: a
+        queue-overflow drop can land while another frame from the same
+        NIC is on the wire."""
+        attempts = self._attempts.pop(id(frame), None)
+        span = self._close(frame, now)
+        if span is not None and outcome is not None \
+                and span.category == "net.medium":
+            # Bus frames record how the transaction ended; an
+            # excess-collision drop never won an attempt.
+            span.args["outcome"] = outcome
+            if outcome != "excess-collisions":
+                span.args["attempts"] = attempts
+
+    def on_service_start(self, port, frame, now: float, tx: float) -> None:
+        self._open(port, f"downlink {frame.size}B", port.layer,
+                   f"port{port.station_id}", now, src=frame.src, dst=frame.dst)
+
+    def on_tcp_data(self, pipe, seg) -> None:
+        flow = f"{pipe.src_stack.host_id}->{pipe.dst_stack.host_id}"
+        self.count("tcp.segments_sent")
+        self.count("tcp.bytes_sent", seg.data_len)
+        self.count(f"conn.{flow}.bytes", seg.data_len)
+        if seg.retransmit:
+            self.count("tcp.retransmits")
+            self.count("tcp.bytes_retransmitted", seg.data_len)
+        self._open(seg, f"seg {seg.data_len}B", "transport.tcp", f"tcp {flow}",
+                   pipe.sim.now, seq=seg.seq, retransmit=seg.retransmit)
+
+    def on_tcp_data_sent(self, pipe, seg, now: float) -> None:
+        self._close(seg, now)
+
+    def on_tcp_ack(self, pipe, ack_no: int) -> None:
+        self.count("tcp.acks_sent")
+
+    def on_tcp_rto(self, pipe) -> None:
+        self.count("tcp.rto_timeouts")
+
+    def on_tcp_fast_retransmit(self, pipe) -> None:
+        self.count("tcp.fast_retransmits")
+
+    def on_pvm_send_begin(self, src, dst, message, route, now: float) -> None:
+        self.count("pvm.messages_sent")
+        self.count("pvm.message_bytes", message.data_bytes)
+        self._open(message, f"pvm_send {message.data_bytes}B", "pvm.vm",
+                   f"host{src.host_id}", now,
+                   src_task=src.tid, dst_task=dst.tid, route=route.value)
+
+    def on_pvm_send_end(self, src, dst, message, now: float) -> None:
+        self._close(message, now)
+
+    def on_daemon_route(self, daemon, task_msg, dst_host: int) -> None:
+        self.count("pvm.datagrams_routed")
+
+    def on_daemon_drop(self, daemon, what) -> None:
+        self.count("pvm.daemon_drops")
+
+    def on_keepalive(self, daemon, peer_host: int) -> None:
+        self.count("pvm.keepalives_sent")
+
+    def on_compute(self, rank: int, start: float, end: float, work) -> None:
+        self.count("fx.compute_phases")
+        self.complete("compute", "fx.program", f"rank{rank}", start, end,
+                      rank=rank, work=work)
+
+    def on_rank_begin(self, program, ctx, iterations: int, now: float) -> None:
+        self._open(ctx, f"{program.name}-rank{ctx.rank}", "fx.program",
+                   f"rank{ctx.rank}", now, rank=ctx.rank, iterations=iterations)
+
+    def on_rank_end(self, program, ctx, now: float) -> None:
+        self._close(ctx, now)
+
+    def on_run_begin(self, runtime, program, iterations: int, now: float) -> None:
+        self._open(runtime, f"run {program.name}", "harness.runner", "run",
+                   now, root=True, program=program.name,
+                   nprocs=runtime.nprocs, iterations=iterations,
+                   seed=runtime.cluster.seed)
+
+    def on_run_end(self, runtime, program, now: float) -> None:
+        self._close(runtime, now)
+        self.gauge("run.sim_seconds", now)
+        # Frames still in flight keep their spans open, as before, but a
+        # long-lived instance must not hold the finished run alive.
+        self._open_by_subject.clear()
+        self._attempts.clear()
 
     def wall_account(self, process_name: str, seconds: float) -> None:
         """Attribute one process resume's wall time to its process."""

@@ -276,8 +276,7 @@ class TcpPipe:
 
     def _sender(self):
         sim = self.sim
-        san = sim.sanitizer
-        tel = sim.telemetry
+        probe = sim.probe
         emit = self.src_stack.emit
         dst_host = self._dst_host
         mss = self.mss
@@ -298,30 +297,14 @@ class TcpPipe:
             retransmit = snd_nxt < self._snd_max
             seg = TcpSegment(self, snd_nxt, data_len,
                              retransmit=retransmit)
-            if san is not None:
-                san.on_tcp_data(self, seg)
+            if probe is not None:
+                probe.on_tcp_data(self, seg)
             self._snd_nxt = snd_nxt = snd_nxt + data_len
             self.segments_sent += 1
             self.bytes_sent += data_len
-            span = None
-            if tel is not None:
-                tel.count("tcp.segments_sent")
-                tel.count("tcp.bytes_sent", data_len)
-                tel.count(
-                    f"conn.{self._src_host}->{self._dst_host}.bytes",
-                    data_len,
-                )
-                span = tel.begin(
-                    f"seg {data_len}B", "transport.tcp",
-                    f"tcp {self._src_host}->{self._dst_host}",
-                    sim.now, seq=seg.seq, retransmit=retransmit,
-                )
             if retransmit:
                 self.retransmits += 1
                 self.bytes_retransmitted += data_len
-                if tel is not None:
-                    tel.count("tcp.retransmits")
-                    tel.count("tcp.bytes_retransmitted", data_len)
             elif self.loss_recovery:
                 if self._rtt_pending is None:
                     # Karn: time only first transmissions.
@@ -336,8 +319,8 @@ class TcpPipe:
             # full segments whenever they outpace the medium, which is the
             # stream behaviour behind the paper's packet-size shapes.
             yield emit(dst_host, seg)
-            if span is not None:
-                tel.end(span, sim.now)
+            if probe is not None:
+                probe.on_tcp_data_sent(self, seg, sim._now)
 
     # -- RTO machinery (sender side, loss_recovery only) ----------------
     def _restart_rto(self) -> None:
@@ -368,9 +351,9 @@ class TcpPipe:
             self._cancel_rto()
             return
         self.timeouts += 1
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.count("tcp.rto_timeouts")
+        probe = self.sim.probe
+        if probe is not None:
+            probe.on_tcp_rto(self)
         # Exponential backoff (Karn); the next successful RTT sample
         # recomputes the estimate.
         self._rto = min(self._rto * 2.0, self.rto_max)
@@ -472,12 +455,10 @@ class TcpPipe:
         self._ack_timer_armed = False
         sim = self.sim
         ack = TcpSegment(self, 0, 0, ack_no=self._rcv_bytes, is_ack=True)
-        if sim.sanitizer is not None:
-            sim.sanitizer.on_tcp_ack(self, ack.ack_no)
+        probe = sim.probe
+        if probe is not None:
+            probe.on_tcp_ack(self, ack.ack_no)
         self.acks_sent += 1
-        tel = sim.telemetry
-        if tel is not None:
-            tel.count("tcp.acks_sent")
         self.dst_stack.emit(self._src_host, ack)
 
     # -- ACK arrival (back on sender side) -------------------------------
@@ -508,9 +489,9 @@ class TcpPipe:
                     and self._snd_una >= self._recover):
                 # Fast retransmit: resend from the cumulative-ACK point.
                 self.fast_retransmits += 1
-                tel = self.sim.telemetry
-                if tel is not None:
-                    tel.count("tcp.fast_retransmits")
+                probe = self.sim.probe
+                if probe is not None:
+                    probe.on_tcp_fast_retransmit(self)
                 self._recover = self._snd_max
                 self._rtt_pending = None  # Karn: sample is now tainted
                 self._snd_nxt = self._snd_una
