@@ -5,7 +5,8 @@ Usage::
     python -m repro list
     python -m repro run fig7 [--scale default|full|smoke] [--seed N]
                              [--export DIR] [--faults SPEC] [--sanitize]
-    python -m repro all [--scale ...] [--seed N] [--export DIR]
+                             [--jobs N]
+    python -m repro all [--scale ...] [--seed N] [--export DIR] [--jobs N]
     python -m repro trace 2dfft --out trace.npz [--scale ...] [--text]
                                 [--faults "loss=0.01,seed=1"] [--sanitize]
                                 [--route direct|default|switched]
@@ -30,23 +31,35 @@ Usage::
     python -m repro profile sor [--scale ...] [--seed N] [--top N]
                                 [--emit-chrome [FILE]] [--emit-metrics [FILE]]
 
-``run``/``all``/``cache`` share the persistent trace cache (default
-``results/.trace-cache``, override with ``--cache-dir`` or the
-``REPRO_TRACE_CACHE`` environment variable): traces simulated once —
-serially or by ``cache warm``'s worker pool — are reused by every later
-invocation.
+``run``/``all``/``cache`` share the persistent trace cache: the
+directory is ``--cache-dir`` (``--dir`` for ``cache``), else the
+``REPRO_TRACE_CACHE`` environment variable, else
+``results/.trace-cache``.  Traces simulated once are reused by every
+later invocation.  ``--no-cache`` keeps a run's traces in memory only.
+
+Before any runner starts, ``run`` and ``all`` collect the traces their
+runners declare (``EXPERIMENT_TRACES``, plus ``ABLATION_TRACES`` under
+``--ablations``) into one batch, longest simulation first, and produce
+its cache misses on a worker pool, which is shut down before the
+command returns.  ``--jobs`` defaults to every CPU the process may use,
+capped at the batch size (``cache warm`` likewise); ``--jobs 1``
+produces the batch serially in this process.  Traces are byte-identical
+either way.
 
 ``--sanitize`` runs the simulation under the runtime sanitizer
 (:mod:`repro.simlint.sanitizer`): invariant violations raise instead of
 silently corrupting figures.  It implies ``--no-cache`` so traces are
-actually re-simulated under observation; the traces produced stay
-byte-identical to unsanitized runs.
+actually re-simulated under observation, in this process; the traces
+produced stay byte-identical to unsanitized runs.
 
 ``--telemetry`` attaches the process-wide telemetry observer
 (:mod:`repro.telemetry`) to every simulator the command builds and
 prints a counter summary when it finishes.  Like ``--sanitize`` it
-implies ``--no-cache`` (cached traces involve no simulation to observe)
-and leaves trace bytes untouched.  ``repro profile`` is the dedicated
+implies ``--no-cache`` for ``run``/``all`` (cached traces involve no
+simulation to observe, and pool workers' counters would never reach
+this process) and leaves trace bytes untouched.  ``REPRO_SANITIZE`` or
+``REPRO_TELEMETRY`` set in the environment count as the flags.
+``repro profile`` is the dedicated
 front-end: one run under a private telemetry instance, reported as a
 per-subsystem wall-time breakdown with optional Chrome-trace and
 ``metrics.json`` exports.
@@ -68,11 +81,50 @@ DEFAULT_CACHE_DIR = "results/.trace-cache"
 
 
 def _store(args):
-    """The process-wide trace store, with the CLI's disk layer enabled."""
+    """The process-wide trace store: memory-only under ``--no-cache``,
+    else on disk at ``--cache-dir``, ``REPRO_TRACE_CACHE`` or
+    :data:`DEFAULT_CACHE_DIR`, in that order."""
     from .harness import configure_trace_store
+    from .harness.store import CACHE_ENV_VAR
 
-    directory = getattr(args, "cache_dir", None) or DEFAULT_CACHE_DIR
+    if getattr(args, "no_cache", False):
+        return configure_trace_store(disk_dir=None)
+    directory = (getattr(args, "cache_dir", None)
+                 or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
     return configure_trace_store(disk_dir=directory)
+
+
+def _env_on(name: str) -> bool:
+    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes",
+                                                        "on")
+
+
+def _jobs(args, batch_size: int) -> int:
+    """``--jobs``, by default every CPU this process may use but no more
+    workers than traces in the batch."""
+    if args.jobs is not None:
+        return args.jobs
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can pin a process
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, batch_size))
+
+
+def trace_batch(exp_ids, scale: str, seed: int):
+    """The traces the runners ``exp_ids`` declare, as warm-style specs:
+    deduplicated in first-seen order, then sorted longest first."""
+    from .harness.ablations import ablation_trace_specs
+    from .harness.experiments import EXPERIMENT_TRACES, longest_first
+    from .harness.sweep import as_work_items
+
+    specs = []
+    for exp_id in exp_ids:
+        specs += [(name, scale, seed)
+                  for name in EXPERIMENT_TRACES.get(exp_id, ())]
+        specs += ablation_trace_specs(exp_id, scale, seed)
+    return longest_first([(key.name, key.scale, key.seed, overrides)
+                          for key, overrides in as_work_items(specs)])
 
 
 def _cmd_list(args) -> int:
@@ -83,16 +135,38 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _produce_batch(exp_ids, args) -> None:
+    """Set up a ``run``/``all`` process, then produce the traces the
+    runners ``exp_ids`` declare as one batch, before any runner starts.
+
+    Observed runs (sanitizer or telemetry) imply ``--no-cache``: with a
+    memory-only store the sweep engine produces in this process, where
+    the observers are.  The pool is shut down once the batch is done."""
+    from .harness import prefetch_traces
+    from .harness.sweep import shutdown_pool
+    from .telemetry import TELEMETRY_ENV_VAR
+
+    _parse_faults(args)
+    _apply_sanitize(args)
+    _apply_queue(args)
+    _apply_telemetry(args)
+    if _env_on("REPRO_SANITIZE") or _env_on(TELEMETRY_ENV_VAR):
+        args.no_cache = True
+    _store(args)
+    batch = trace_batch(exp_ids, args.scale, args.seed)
+    if not batch:
+        return
+    try:
+        prefetch_traces(batch, jobs=_jobs(args, len(batch)))
+    finally:
+        shutdown_pool()
+
+
 def _run_one(exp_id: str, args) -> bool:
     from .harness import run_ablation, run_experiment
 
-    jobs = getattr(args, "jobs", 1)
-    if exp_id in EXPERIMENTS:
-        artifact = run_experiment(exp_id, scale=args.scale, seed=args.seed,
-                                  jobs=jobs)
-    else:
-        artifact = run_ablation(exp_id, scale=args.scale, seed=args.seed,
-                                jobs=jobs)
+    run = run_experiment if exp_id in EXPERIMENTS else run_ablation
+    artifact = run(exp_id, scale=args.scale, seed=args.seed)
     print(artifact.render())
     print()
     if getattr(args, "plot", False) and artifact.series:
@@ -129,12 +203,10 @@ def _parse_faults(args):
 
 def _apply_sanitize(args) -> None:
     """Honor ``--sanitize``: every simulator this process builds attaches
-    the runtime sanitizer, and the disk cache is bypassed so the traces
-    are actually produced under observation (they stay byte-identical,
-    so nothing downstream changes)."""
+    the runtime sanitizer (traces stay byte-identical, so nothing
+    downstream changes)."""
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"
-        args.no_cache = True
 
 
 def _apply_queue(args) -> None:
@@ -149,15 +221,12 @@ def _apply_queue(args) -> None:
 def _apply_telemetry(args) -> None:
     """Honor ``--telemetry`` (and the ``REPRO_TELEMETRY`` environment):
     attach the process-wide telemetry instance to every simulator this
-    process builds.  The flag implies ``--no-cache`` so there is a
-    simulation to observe; trace bytes are unchanged."""
+    process builds; trace bytes are unchanged."""
     from .telemetry import TELEMETRY_ENV_VAR, enable_process_telemetry
 
     if getattr(args, "telemetry", False):
         os.environ[TELEMETRY_ENV_VAR] = "1"
-        args.no_cache = True
-    enabled = os.environ.get(TELEMETRY_ENV_VAR, "").strip().lower()
-    if enabled in ("1", "true", "yes", "on"):
+    if _env_on(TELEMETRY_ENV_VAR):
         enable_process_telemetry()
 
 
@@ -180,26 +249,16 @@ def _cmd_run(args) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"known: {', '.join(ALL_RUNNERS)}", file=sys.stderr)
         return 2
-    _parse_faults(args)
-    _apply_sanitize(args)
-    _apply_queue(args)
-    _apply_telemetry(args)
-    if not args.no_cache:
-        _store(args)
+    _produce_batch([args.experiment], args)
     ok = _run_one(args.experiment, args)
     _print_telemetry_summary()
     return 0 if ok else 1
 
 
 def _cmd_all(args) -> int:
-    _parse_faults(args)
-    _apply_sanitize(args)
-    _apply_queue(args)
-    _apply_telemetry(args)
-    if not args.no_cache:
-        _store(args)
-    failures = []
     runners = ALL_RUNNERS if args.ablations else EXPERIMENTS
+    _produce_batch(runners, args)
+    failures = []
     for exp_id in runners:
         if not _run_one(exp_id, args):
             failures.append(exp_id)
@@ -369,7 +428,7 @@ def _cmd_cache_scrub(args) -> int:
 
 
 def _cmd_cache_warm(args) -> int:
-    from .harness.experiments import trace_specs
+    from .harness.experiments import longest_first, trace_specs
     from .programs import PROGRAMS
 
     _apply_telemetry(args)
@@ -387,9 +446,10 @@ def _cmd_cache_warm(args) -> int:
               f"known: {', '.join(PROGRAMS)}", file=sys.stderr)
         return 2
     plan = _parse_faults(args)
-    specs = trace_specs(scale=args.scale, seeds=seeds, programs=programs,
-                        faults=plan)
-    results = store.warm(specs, jobs=args.jobs)
+    specs = longest_first(trace_specs(scale=args.scale, seeds=seeds,
+                                      programs=programs, faults=plan))
+    jobs = _jobs(args, len(specs))
+    results = store.warm(specs, jobs=jobs)
     produced = sum(1 for r in results if r.produced and r.ok)
     failed = [r for r in results if not r.ok]
     for r in results:
@@ -402,7 +462,7 @@ def _cmd_cache_warm(args) -> int:
     print(f"warm complete: {produced} produced, "
           f"{len(results) - produced - len(failed)} already cached, "
           f"{len(failed)} failed "
-          f"({args.jobs} job{'s' if args.jobs != 1 else ''}) "
+          f"({jobs} job{'s' if jobs != 1 else ''}) "
           f"-> {store.disk_dir}")
     if failed:
         print(f"warm FAILED for: "
@@ -759,9 +819,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment")
     add_common(p_run)
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="produce the experiment's traces through the "
-                            "sweep engine's worker pool first")
+    p_run.add_argument("--jobs", type=int, default=None,
+                       help="worker processes producing the experiment's "
+                            "traces before it runs (default: every usable "
+                            "CPU, at most one per trace; 1 = serial, "
+                            "in-process)")
     p_run.add_argument("--export", metavar="DIR",
                        help="export tables/series under DIR")
     p_run.add_argument("--plot", action="store_true",
@@ -770,9 +832,11 @@ def main(argv=None) -> int:
 
     p_all = sub.add_parser("all", help="run every experiment")
     add_common(p_all)
-    p_all.add_argument("--jobs", type=int, default=1,
-                       help="produce each experiment's traces through the "
-                            "sweep engine's worker pool first")
+    p_all.add_argument("--jobs", type=int, default=None,
+                       help="worker processes producing every experiment's "
+                            "traces, longest first, before the first runs "
+                            "(default: every usable CPU, at most one per "
+                            "trace; 1 = serial, in-process)")
     p_all.add_argument("--export", metavar="DIR")
     p_all.add_argument("--ablations", action="store_true",
                        help="include the ablation studies")
@@ -895,8 +959,10 @@ def main(argv=None) -> int:
         "warm", help="produce the experiments' traces through a worker pool"
     )
     add_cache_common(p_warm)
-    p_warm.add_argument("--jobs", type=int, default=1,
-                        help="parallel production workers")
+    p_warm.add_argument("--jobs", type=int, default=None,
+                        help="parallel production workers, longest trace "
+                             "first (default: every usable CPU, at most "
+                             "one per trace)")
     p_warm.add_argument("--scale", default="default",
                         choices=["smoke", "default", "full"])
     p_warm.add_argument("--seeds", default="0",

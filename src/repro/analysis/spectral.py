@@ -89,10 +89,11 @@ def find_peaks(
 
     A bin is a peak when it is a local maximum and its power is at least
     ``min_prominence`` times the strongest non-DC bin.  ``k`` limits the
-    count.
+    count.  ``exclude_dc`` skips the first bin only when it sits at 0 Hz:
+    a :meth:`Spectrum.band` starting above 0 Hz has no DC bin to drop.
     """
     freqs, power = spectrum.freqs, spectrum.power
-    start = 1 if exclude_dc else 0
+    start = 1 if exclude_dc and len(freqs) and freqs[0] == 0 else 0
     if len(power) - start < 3:
         return []
     p = power[start:]

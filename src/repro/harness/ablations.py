@@ -46,7 +46,7 @@ from ..fx import FxCluster, FxRuntime
 from ..programs import make_program, run_measured, work_model_for
 from ..pvm import Route
 from .experiments import EXPERIMENTS, Artifact
-from .runner import get_trace, prefetch_traces
+from .runner import get_trace
 from .tables import format_table
 
 __all__ = ["ABLATIONS", "ABLATION_TRACES", "ablation_trace_specs",
@@ -655,22 +655,13 @@ def ablation_trace_specs(abl_id: str, scale: str = "default", seed: int = 0):
     return builder(scale, seed) if builder is not None else []
 
 
-def run_ablation(abl_id: str, scale: str = "default", seed: int = 0,
-                 jobs: int = 1) -> Artifact:
-    """Run one registered ablation by id.
-
-    With ``jobs > 1`` the ablation's trace variants
-    (:data:`ABLATION_TRACES`) are produced first through the sweep
-    engine's persistent worker pool; the runner then analyses a warm
-    cache serially.
-    """
+def run_ablation(abl_id: str, scale: str = "default", seed: int = 0
+                 ) -> Artifact:
+    """Run one registered ablation by id."""
     try:
         runner = ABLATIONS[abl_id]
     except KeyError:
         raise KeyError(
             f"unknown ablation {abl_id!r}; known: {sorted(ABLATIONS)}"
         ) from None
-    specs = ablation_trace_specs(abl_id, scale, seed)
-    if jobs > 1 and specs:
-        prefetch_traces(specs, jobs=jobs)
     return runner(scale=scale, seed=seed)

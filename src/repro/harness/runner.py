@@ -109,7 +109,8 @@ def prefetch_traces(specs, jobs: int = 1):
 
     ``specs`` are warm-style ``(name, scale, seed[, overrides])`` tuples
     (deduplicated before fan-out).  With ``jobs > 1`` the cache misses
-    shard across the persistent sweep worker pool; later
+    shard across the persistent sweep worker pool in spec order, so a
+    batch lists its longest traces first; later
     :func:`get_trace` calls for the same keys then hit the cache instead
     of simulating serially.  The process-wide default fault plan applies
     exactly as it would in :func:`get_trace`.  Returns the

@@ -90,6 +90,14 @@ class TestPeaks:
         spec = Spectrum(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 2.0)
         assert find_peaks(spec) == []
 
+    def test_band_keeps_its_first_bin(self):
+        # A band above 0 Hz has no DC bin: its strongest bin, the second,
+        # is a local maximum and must be reported.
+        freqs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        power = np.array([0.0, 1.0, 5.0, 2.0, 3.0, 0.5])
+        band = Spectrum(freqs, power, 10.0).band(0.5, 3.0)
+        assert find_peaks(band, k=1, min_prominence=0.0) == [(1.0, 5.0)]
+
 
 class TestFundamental:
     def test_simple_fundamental(self):

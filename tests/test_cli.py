@@ -1,10 +1,17 @@
 """Tests for the python -m repro command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import main, trace_batch
+from repro.capture import load_npz
+from repro.harness import EXPERIMENTS, TraceKey, TraceStore, run_experiment
+from repro.harness import runner
+from repro.harness.sweep import pool_stats
+from repro.telemetry import disable_process_telemetry, process_telemetry
 
 
 def test_list_prints_all_experiments(capsys):
@@ -138,3 +145,140 @@ class TestSweepQmonCli:
         from repro.netmon import validate_qmon
 
         assert validate_qmon(json.loads(files[0].read_text())) == []
+
+
+class TestTraceCacheChoice:
+    """``--no-cache`` is memory-only; otherwise ``--cache-dir``, then
+    ``REPRO_TRACE_CACHE``, then ``results/.trace-cache``."""
+
+    @pytest.fixture
+    def warm_env_cache(self, tmp_path, monkeypatch):
+        """A disk cache holding fig8's trace, named by REPRO_TRACE_CACHE."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(runner, "_STORE", runner._STORE)
+        for name in ("REPRO_TELEMETRY", "REPRO_SANITIZE"):
+            monkeypatch.setenv(name, "0")  # restored after --flags set it
+        warm = tmp_path / "warm"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cache", "warm", "--scale", "smoke",
+                         "--programs", "airshed", "--dir", str(warm)]) == 0
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(warm))
+        yield warm
+        disable_process_telemetry()
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--no-cache"], None),
+        (["--telemetry"], None),
+        (["--sanitize"], None),
+        ([], "REPRO_TELEMETRY"),
+        ([], "REPRO_SANITIZE"),
+    ], ids=["no-cache", "telemetry", "sanitize", "env-telemetry",
+            "env-sanitize"])
+    def test_unwarmed_runs_simulate_in_process(self, warm_env_cache, flags,
+                                               env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv(env, "1")
+        started = pool_stats()["started"]
+        assert main(["run", "fig8", "--scale", "smoke"] + flags) == 0
+        capsys.readouterr()
+        store = runner.trace_store()
+        assert store.disk_dir is None and store.stats.misses == 1
+        assert pool_stats()["started"] == started
+        tel = process_telemetry()
+        if "--telemetry" in flags or env == "REPRO_TELEMETRY":
+            assert tel.counters["des.events_popped"] > 0 and tel.spans
+
+    def test_env_var_chooses_the_disk_cache(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(runner, "_STORE", runner._STORE)
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "env"))
+        assert main(["run", "fig8", "--scale", "smoke"]) == 0
+        assert main(["run", "fig8", "--scale", "smoke",
+                     "--cache-dir", str(tmp_path / "flag")]) == 0
+        capsys.readouterr()
+        assert len(list((tmp_path / "env").glob("*.npz"))) == 1
+        assert len(list((tmp_path / "flag").glob("*.npz"))) == 1
+        assert not (tmp_path / "results").exists()
+
+
+@pytest.fixture(scope="module")
+def all_smoke(tmp_path_factory):
+    """``repro all --scale smoke`` pooled (``--jobs 2``) and serial
+    (``--jobs 1``), each into fresh cache and export directories."""
+    root = tmp_path_factory.mktemp("all-smoke")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_STORE", runner._STORE)
+        for jobs in (2, 1):
+            cache, export = root / f"cache{jobs}", root / f"export{jobs}"
+            started = pool_stats()["started"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["all", "--scale", "smoke", "--jobs", str(jobs),
+                           "--cache-dir", str(cache),
+                           "--export", str(export)])
+            runs[jobs] = {
+                "rc": rc, "cache": cache, "export": export,
+                "misses": runner.trace_store().stats.misses,
+                "pools": pool_stats()["started"] - started,
+                "alive": pool_stats()["alive"],
+            }
+    return runs
+
+
+class TestTraceBatch:
+    def test_longest_first_and_deduplicated(self):
+        batch = trace_batch(EXPERIMENTS, "smoke", 0)
+        assert [spec[0] for spec in batch] == [
+            "airshed", "2dfft", "t2dfft", "seq", "hist", "sor"]
+
+    def test_run_without_traces_starts_no_pool(self, capsys):
+        assert trace_batch(["fig1"], "smoke", 0) == []
+        started = pool_stats()["started"]
+        assert main(["run", "fig1"]) == 0
+        assert pool_stats()["started"] == started
+
+    def test_all_smoke_exits_zero(self, all_smoke):
+        assert all_smoke[2]["rc"] == 0 and all_smoke[1]["rc"] == 0
+
+    def test_pooled_run_is_served_by_the_batch(self, all_smoke):
+        pooled, serial = all_smoke[2], all_smoke[1]
+        assert pooled["pools"] == 1 and serial["pools"] == 0
+        assert pooled["misses"] == 0
+        assert pooled["alive"] == 0 and serial["alive"] == 0
+
+    def test_pooled_and_serial_exports_identical(self, all_smoke):
+        pooled, serial = all_smoke[2]["export"], all_smoke[1]["export"]
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(pooled)
+                               for p in pooled.rglob("*") if p.is_file())
+        for rel in files:
+            a, b = (serial / rel).read_bytes(), (pooled / rel).read_bytes()
+            if rel.name == "manifest.json":
+                a, b = json.loads(a), json.loads(b)
+                a.pop("trace_pipeline"), b.pop("trace_pipeline")
+            assert a == b, rel
+
+    def test_pooled_and_serial_traces_identical(self, all_smoke):
+        def shas(cache):
+            return {p.stem: json.loads(p.read_text())["trace_sha256"]
+                    for p in cache.glob("*.json")}
+
+        serial = shas(all_smoke[1]["cache"])
+        assert len(serial) == 6
+        assert shas(all_smoke[2]["cache"]) == serial
+
+    @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+    def test_runner_declares_every_trace_it_reads(self, exp_id, all_smoke,
+                                                  monkeypatch):
+        # Only the runner's own batch is in the store: an undeclared
+        # get_trace would be a miss.
+        store = TraceStore()
+        for name, scale, seed, overrides in trace_batch([exp_id], "smoke", 0):
+            key = TraceKey.make(name, scale=scale, seed=seed, **overrides)
+            store.put(key, load_npz(all_smoke[1]["cache"] /
+                                    f"{key.digest()}.npz"))
+        monkeypatch.setattr(runner, "_STORE", store)
+        run_experiment(exp_id, scale="smoke", seed=0)
+        assert store.stats.misses == 0
