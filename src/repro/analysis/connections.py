@@ -20,23 +20,29 @@ __all__ = ["traffic_matrix", "connection_table", "active_connections"]
 
 def traffic_matrix(trace: PacketTrace, n_hosts: Optional[int] = None
                    ) -> np.ndarray:
-    """Bytes sent from host *i* to host *j*, as an (n, n) matrix."""
+    """Bytes sent from host *i* to host *j*, as an (n, n) matrix.
+
+    Broadcast frames (a negative destination) name no host column and
+    are left out; :func:`connection_table` lists them as ``(src, -1)``.
+    """
     if n_hosts is None:
         hosts = trace.hosts()
         n_hosts = int(hosts.max()) + 1 if len(hosts) else 0
     m = np.zeros((n_hosts, n_hosts), dtype=np.int64)
     if len(trace) == 0:
         return m
-    np.add.at(m, (trace.srcs, trace.dsts), trace.sizes)
+    unicast = trace.dsts >= 0
+    np.add.at(m, (trace.srcs[unicast], trace.dsts[unicast]),
+              trace.sizes[unicast])
     return m
 
 
 def connection_table(trace: PacketTrace) -> List[Tuple[int, int, int, int]]:
     """Per-connection (src, dst, packets, bytes), heaviest first."""
-    rows = []
-    for src, dst in trace.connections():
-        conn = trace.connection(src, dst)
-        rows.append((src, dst, len(conn), conn.total_bytes))
+    rows = [
+        (src, dst, len(conn), conn.total_bytes)
+        for (src, dst), conn in trace.by_connection().items()
+    ]
     rows.sort(key=lambda r: r[3], reverse=True)
     return rows
 

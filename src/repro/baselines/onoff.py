@@ -60,7 +60,7 @@ class OnOffTraffic:
     def generate(self, duration: float, src: int = 0, dst: int = 1) -> PacketTrace:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        rows = []
+        bursts = []
         t = 0.0
         # start in a random phase of the cycle
         on = self.rng.random() < self.duty_cycle
@@ -69,16 +69,21 @@ class OnOffTraffic:
                 burst_len = self.rng.exponential(self.on_mean)
                 end = min(t + burst_len, duration)
                 spacing = 1.0 / self.on_rate
-                pkt_t = t + self.rng.uniform(0, spacing)
-                while pkt_t < end:
-                    rows.append(
-                        (pkt_t, self.packet_size, src, dst, PROTO_TCP, KIND_TCP_DATA)
-                    )
-                    pkt_t += spacing
+                # Packet k sits at the k-th running sum of the spacing,
+                # accumulated in order (k * spacing rounds differently).
+                # Two steps past the real-valued count reach ``end``
+                # unless rounding drifts by a whole spacing.
+                steps = np.full(int((end - t) / spacing) + 2, spacing)
+                steps[0] = t + self.rng.uniform(0, spacing)
+                burst = np.cumsum(steps)
+                bursts.append(burst[burst < end])
                 t = end
             else:
                 t += self.rng.exponential(self.off_mean)
             on = not on
-        if not rows:
+        times = np.concatenate(bursts) if bursts else np.empty(0)
+        if not len(times):
             return PacketTrace.empty()
-        return PacketTrace.from_rows(rows)
+        return PacketTrace.from_columns(
+            times, self.packet_size, src, dst, PROTO_TCP, KIND_TCP_DATA
+        )

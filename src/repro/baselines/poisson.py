@@ -67,8 +67,6 @@ class PoissonTraffic:
             self.min_size,
             self.max_size,
         ).astype(np.uint32)
-        rows = [
-            (float(t), int(s), src, dst, PROTO_TCP, KIND_TCP_DATA)
-            for t, s in zip(times, sizes)
-        ]
-        return PacketTrace.from_rows(rows)
+        return PacketTrace.from_columns(
+            times, sizes, src, dst, PROTO_TCP, KIND_TCP_DATA
+        )

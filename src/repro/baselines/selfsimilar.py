@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..capture import KIND_TCP_DATA, PacketTrace
+from ..capture import KIND_TCP_DATA, PacketTrace, bin_slots
 from ..transport import PROTO_TCP
 
 __all__ = ["fgn", "SelfSimilarTraffic"]
@@ -103,21 +103,19 @@ class SelfSimilarTraffic:
         if duration <= 0:
             raise ValueError("duration must be positive")
         env = self.bandwidth_envelope(duration)
-        rows = []
+        counts = []
         carry = 0.0
-        for i, bw in enumerate(env):
+        for bw in env.tolist():
             budget = bw * self.dt + carry
             n_pkts = int(budget // self.packet_size)
             carry = budget - n_pkts * self.packet_size
-            if n_pkts == 0:
-                continue
-            start = i * self.dt
-            offsets = (np.arange(n_pkts) + 0.5) * (self.dt / n_pkts)
-            for off in offsets:
-                rows.append(
-                    (start + off, self.packet_size, src, dst,
-                     PROTO_TCP, KIND_TCP_DATA)
-                )
-        if not rows:
+            counts.append(n_pkts)
+        bins, rank = bin_slots(counts)
+        if not len(bins):
             return PacketTrace.empty()
-        return PacketTrace.from_rows(rows)
+        # the bin's n packets sit at the midpoints of n equal slots
+        n = np.asarray(counts)[bins]
+        times = bins * self.dt + (rank + 0.5) * (self.dt / n)
+        return PacketTrace.from_columns(
+            times, self.packet_size, src, dst, PROTO_TCP, KIND_TCP_DATA
+        )

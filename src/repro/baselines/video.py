@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..capture import KIND_TCP_DATA, PacketTrace
+from ..capture import KIND_TCP_DATA, PacketTrace, bin_slots
 from ..transport import PROTO_TCP
 from .selfsimilar import fgn
 
@@ -72,19 +72,19 @@ class VbrVideoTraffic:
         if duration <= 0:
             raise ValueError("duration must be positive")
         n_frames = max(2, int(duration * self.fps))
-        sizes = self.frame_sizes(n_frames)
+        frame_bytes = self.frame_sizes(n_frames).astype(np.int64)
         frame_period = 1.0 / self.fps
-        rows = []
-        for i, frame_bytes in enumerate(sizes):
-            t = i * frame_period
-            remaining = int(frame_bytes)
-            offset = 0.0
-            # frames burst out at wire-ish speed: 1 packet / 1.25 ms
-            while remaining > 0:
-                pkt = min(self.packet_size, remaining)
-                rows.append(
-                    (t + offset, pkt, src, dst, PROTO_TCP, KIND_TCP_DATA)
-                )
-                remaining -= pkt
-                offset += 0.00125
-        return PacketTrace.from_rows(rows)
+        # a frame leaves as full packets; the last one carries the rest
+        counts = -(-frame_bytes // self.packet_size)
+        frames, rank = bin_slots(counts)
+        sizes = np.full(len(frames), self.packet_size, dtype=np.int64)
+        last = np.cumsum(counts) - 1
+        sizes[last] = frame_bytes - (counts - 1) * self.packet_size
+        # frames burst out at wire-ish speed: 1 packet / 1.25 ms, each
+        # offset the running sum of the gaps before it, added in order
+        gaps = np.full(counts.max(), 0.00125)
+        gaps[0] = 0.0
+        times = frames * frame_period + np.cumsum(gaps)[rank]
+        return PacketTrace.from_columns(
+            times, sizes, src, dst, PROTO_TCP, KIND_TCP_DATA
+        )

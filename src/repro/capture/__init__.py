@@ -17,11 +17,13 @@ from .trace import (
     KIND_UDP,
     PacketTrace,
     TraceRecorder,
+    bin_slots,
 )
 
 __all__ = [
     "PacketTrace",
     "TraceRecorder",
+    "bin_slots",
     "KIND_TCP_DATA",
     "KIND_TCP_ACK",
     "KIND_UDP",

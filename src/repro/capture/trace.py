@@ -10,14 +10,21 @@ trailer), protocol, source, and destination.  The finished
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ..net import EthernetBus, EthernetFrame
 from ..transport import PROTO_TCP, PROTO_UDP, TcpSegment, UdpDatagram
 
-__all__ = ["PacketTrace", "TraceRecorder", "KIND_TCP_DATA", "KIND_TCP_ACK", "KIND_UDP"]
+__all__ = [
+    "PacketTrace",
+    "TraceRecorder",
+    "bin_slots",
+    "KIND_TCP_DATA",
+    "KIND_TCP_ACK",
+    "KIND_UDP",
+]
 
 #: Packet kind codes (finer than IP protocol: ACKs are their own class).
 KIND_TCP_DATA = 0
@@ -57,6 +64,20 @@ class PacketTrace:
         rows = [r + (0,) if len(r) == want - 1 else r for r in rows]
         arr = np.array(rows, dtype=TRACE_DTYPE)
         return cls(arr)
+
+    @classmethod
+    def from_columns(cls, time, size, src, dst, proto, kind, retx=0
+                     ) -> "PacketTrace":
+        """Build from one array per field, in :data:`TRACE_DTYPE` order.
+
+        ``time`` sets the packet count; any other argument may be a
+        scalar, which every packet shares.
+        """
+        data = np.zeros(len(time), dtype=TRACE_DTYPE)
+        for name, column in zip(TRACE_DTYPE.names,
+                                (time, size, src, dst, proto, kind, retx)):
+            data[name] = column
+        return cls(data)
 
     @classmethod
     def empty(cls) -> "PacketTrace":
@@ -169,12 +190,37 @@ class PacketTrace:
         """Sorted unique machine ids appearing in the trace."""
         return np.unique(np.concatenate([self.srcs, self.dsts]))
 
-    def connections(self):
-        """All (src, dst) pairs that carried at least one packet."""
-        pairs = np.unique(
-            np.stack([self.srcs, self.dsts], axis=1), axis=0
-        )
-        return [tuple(int(x) for x in row) for row in pairs]
+    def _connection_keys(self) -> np.ndarray:
+        """One int64 per packet that orders packets by (src, dst).
+
+        ``src << 32`` plus ``dst + 2**31``: the low word is never
+        negative, so a BROADCAST (-1) destination sorts before host 0.
+        """
+        return ((self.srcs.astype(np.int64) << 32)
+                + (self.dsts.astype(np.int64) + 2**31))
+
+    @staticmethod
+    def _pairs(keys: np.ndarray) -> List[Tuple[int, int]]:
+        """Decode :meth:`_connection_keys` values back to (src, dst)."""
+        return list(zip((keys >> 32).tolist(),
+                        ((keys & 0xFFFFFFFF) - 2**31).tolist()))
+
+    def connections(self) -> List[Tuple[int, int]]:
+        """All (src, dst) pairs that carried at least one packet, sorted."""
+        return self._pairs(np.unique(self._connection_keys()))
+
+    def by_connection(self) -> Dict[Tuple[int, int], "PacketTrace"]:
+        """Every connection's packets, in :meth:`connections` order.
+
+        One stable sort groups the whole trace, so each connection's
+        packets keep their trace order: ``by_connection()[(s, d)]``
+        equals ``connection(s, d)``.
+        """
+        keys = self._connection_keys()
+        order = np.argsort(keys, kind="stable")
+        uniq, firsts = np.unique(keys[order], return_index=True)
+        groups = np.split(self._data[order], firsts[1:])
+        return dict(zip(self._pairs(uniq), map(PacketTrace, groups)))
 
     def shifted(self, t0: float) -> "PacketTrace":
         """A copy with timestamps rebased so the trace starts at ``t0``."""
@@ -185,6 +231,19 @@ class PacketTrace:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"<PacketTrace {len(self)} packets over {self.duration:.3f}s>"
+
+
+def bin_slots(counts) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay out ``counts[i]`` packets per bin, bin after bin.
+
+    Returns, for each packet, its bin index and its rank within that
+    bin, the two columns a traffic source needs to place its packets
+    without a per-packet loop.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    bins = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    return bins, np.arange(len(bins)) - firsts[bins]
 
 
 class TraceRecorder:

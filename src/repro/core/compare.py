@@ -55,16 +55,17 @@ def connection_correlation(
     synchronization, in phase.  Returns NaN when fewer than two
     connections qualify.
     """
+    groups = trace.by_connection()
     if pairs is None:
-        pairs = trace.connections()
+        pairs = list(groups)
     if len(trace) < 2:
         return float("nan")
     t0 = float(trace.times[0])
     t1 = float(trace.times[-1]) + bin_width
     series = []
     for src, dst in pairs:
-        conn = trace.connection(src, dst)
-        if len(conn) < min_packets:
+        conn = groups.get((src, dst))
+        if conn is None or len(conn) < min_packets:
             continue
         s = binned_bandwidth(conn, bin_width, t0=t0, t1=t1)
         if s.values.std() > 0:

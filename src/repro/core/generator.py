@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..capture import KIND_TCP_DATA, PacketTrace
+from ..capture import KIND_TCP_DATA, PacketTrace, bin_slots
 from ..fx import Pattern, pattern_pairs
 from ..transport import PROTO_TCP
 from .spectral_model import SpectralModel
@@ -91,29 +91,32 @@ class SpectralTrafficGenerator:
             target = max(self.model.mean, 0.0) * KB * dt
             demand = demand * (target / demand.mean())
 
-        rows = []
+        counts = []
+        residues = {}  # packet index -> size of an interval's residue packet
         carry = 0.0
-        pair_idx = 0
-        n_pairs = len(self.pairs)
-        for start, want in zip(starts, demand):
+        n_packets = 0
+        for want in demand.tolist():
             budget = want + carry
-            sizes: List[int] = []
+            n_pkts = 0
             while budget >= self.packet_size:
-                sizes.append(self.packet_size)
+                n_pkts += 1
                 budget -= self.packet_size
             if budget >= self.min_packet:
-                sizes.append(int(budget))
+                residues[n_packets + n_pkts] = int(budget)
+                n_pkts += 1
                 budget -= int(budget)
             carry = budget
-            if not sizes:
-                continue
-            offsets = (np.arange(len(sizes)) + 0.5) * (dt / len(sizes))
-            for off, size in zip(offsets, sizes):
-                src, dst = self.pairs[pair_idx % n_pairs]
-                pair_idx += 1
-                rows.append(
-                    (start + off, size, src, dst, PROTO_TCP, KIND_TCP_DATA)
-                )
-        if not rows:
+            counts.append(n_pkts)
+            n_packets += n_pkts
+        if not n_packets:
             return PacketTrace.empty()
-        return PacketTrace.from_rows(rows)
+        bins, rank = bin_slots(counts)
+        n = np.asarray(counts)[bins]
+        times = starts[bins] + (rank + 0.5) * (dt / n)
+        sizes = np.full(n_packets, self.packet_size, dtype=np.int64)
+        sizes[list(residues)] = list(residues.values())
+        # round-robin over the pattern's connections, packet by packet
+        pairs = np.asarray(self.pairs)[np.arange(n_packets) % len(self.pairs)]
+        return PacketTrace.from_columns(
+            times, sizes, pairs[:, 0], pairs[:, 1], PROTO_TCP, KIND_TCP_DATA
+        )

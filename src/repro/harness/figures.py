@@ -37,8 +37,10 @@ def export_artifact(artifact: Artifact, directory: Union[str, Path]) -> Path:
         path = root / f"{safe}.dat"
         data = np.column_stack([np.asarray(x, dtype=float),
                                 np.asarray(y, dtype=float)])
-        header = f"{artifact.exp_id}: {name}\ncolumns: x y"
-        np.savetxt(path, data, header=header)
+        # np.savetxt's default layout, formatted in one call
+        header = f"# {artifact.exp_id}: {name}\n# columns: x y\n"
+        rows = ("%.18e %.18e\n" * len(data)) % tuple(data.ravel().tolist())
+        path.write_text(header + rows)
         files.append(path.name)
     from .runner import trace_store
     from .store import TRACE_SCHEMA_VERSION

@@ -44,6 +44,17 @@ class TestTrafficMatrix:
         expected = connectivity_matrix(Pattern.TREE, 4)
         assert np.array_equal((m > 0).astype(np.int8), expected)
 
+    def test_broadcast_bytes_stay_out_of_the_matrix(self):
+        tr = trace_of([
+            (0.0, 100, 0, -1, 6, 0),
+            (0.1, 200, 0, 2, 6, 0),
+        ])
+        m = traffic_matrix(tr)
+        assert m.shape == (3, 3)
+        assert m[0, 2] == 200
+        assert m.sum() == 200
+        assert connection_table(tr) == [(0, 2, 1, 200), (0, -1, 1, 100)]
+
     def test_connection_table_sorted_by_bytes(self):
         tr = trace_of([
             (0.0, 100, 0, 1, 6, 0),
