@@ -46,17 +46,13 @@ OVERHEAD_RUNS = (("sor", "ethernet"), ("2dfft", "switched"))
 
 
 def runtime_meta() -> dict:
-    """The measurement environment: queue implementation and Python.
+    """The measurement environment: the Python interpreter.
 
     Recorded in ``BENCH_runtime.json`` so a regression can be told apart
-    from a changed environment (different interpreter, different
-    future-event queue) when comparing against the committed baseline.
+    from a changed environment (a different interpreter) when comparing
+    against the committed baseline.
     """
-    from repro.des.queues import DEFAULT_QUEUE
-
     return {
-        "queue": os.environ.get("REPRO_QUEUE", "").strip().lower()
-        or DEFAULT_QUEUE,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
     }
@@ -193,7 +189,6 @@ def test_disabled_overhead_within_two_percent():
 def test_bench_result_file_is_current_schema():
     doc = json.loads(RESULT_PATH.read_text())
     assert doc["schema"] == BENCH_SCHEMA_VERSION
-    assert doc["meta"]["queue"] in ("heap", "calendar")
     assert doc["meta"]["python"]
     assert {r["program"] for r in doc["results"]} == set(PROGRAMS)
     for row in doc["results"]:

@@ -118,13 +118,10 @@ def run_benchmark(grid: str = GRID, jobs: int = JOBS,
     The cold runs repeat ``reps`` times on fresh caches and the best
     wall time is kept, interleaved serial/pooled so box-load drift
     hits both sides alike."""
-    from repro.des.queues import DEFAULT_QUEUE
     from repro.harness import ChaosPlan, RetryPolicy
     from repro.harness.store import TraceStore
     from repro.harness.sweep import (
         expand_grid, parse_grid, pool_stats, run_sweep, shutdown_pool)
-
-    queue = os.environ.get("REPRO_QUEUE", "").strip().lower() or DEFAULT_QUEUE
 
     parsed = parse_grid(grid)
     keys = len(expand_grid(parsed))
@@ -205,7 +202,6 @@ def run_benchmark(grid: str = GRID, jobs: int = JOBS,
             "meta": {
                 "python": platform.python_version(),
                 "implementation": platform.python_implementation(),
-                "queue": queue,
                 "cpu_count": os.cpu_count(),
                 "platform": sys.platform,
             },
@@ -284,7 +280,6 @@ def test_bench_result_file_is_current_schema():
     assert doc["result"]["manifests_identical"]
     assert doc["result"]["warm_hit_rate"] == 1.0
     assert doc["result"]["meta"]["python"]
-    assert doc["result"]["meta"]["queue"]
     resilience = doc["result"]["resilience"]
     assert resilience["baseline_keys_per_second"] == BASELINE_KEYS_PER_SECOND
     assert resilience["supervised_keys_per_second"] > 0

@@ -1,23 +1,12 @@
-"""CI bench gate: fail on events/sec regressions and queue divergence.
+"""CI bench gate: fail on events/sec regressions.
 
-Two checks, both against the numbers committed in
-``BENCH_runtime.json``:
-
-``--bench`` (default)
-    Re-measure every program with ``bench_runtime.measure_program`` and
-    compare events/sec per program to the committed baseline.  Any
-    program more than ``--tolerance`` (default 10%) *slower* fails the
-    gate; faster is always fine.  The fresh measurements are written to
-    ``--out`` so CI can upload them as an artifact and a human can
-    decide whether an improvement should be committed as the new
-    baseline.
-
-``--digests``
-    Run every program once under the heap queue and once under the
-    calendar queue and require byte-identical trace digests.  The
-    pluggable-queue contract (docs/architecture.md, "Event queue &
-    scheduling") is that the queue choice affects speed only, never the
-    trace — this is the end-to-end enforcement of it.
+Re-measure every program with ``bench_runtime.measure_program`` and
+compare events/sec per program to the numbers committed in
+``BENCH_runtime.json``.  Any program more than ``--tolerance`` (default
+10%) *slower* fails the gate; faster is always fine.  The fresh
+measurements are written to ``--out`` so CI can upload them as an
+artifact and a human can decide whether an improvement should be
+committed as the new baseline.
 
 Wall clocks on shared CI runners are noisy; the bench check therefore
 compares best-of-``reps`` runs (the same protocol that produced the
@@ -25,15 +14,13 @@ committed file) and only gates on regressions beyond the tolerance.
 Set ``REPRO_BENCH_RUNTIME_REPS`` to raise the rep count on noisy
 runners.
 
-Exit status: 0 clean, 1 on any regression or digest divergence.
+Exit status: 0 clean, 1 on any regression.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -87,51 +74,11 @@ def check_bench(baseline_path: Path, out_path: Path, tolerance: float) -> int:
     return 0
 
 
-def _trace_digest(trace) -> str:
-    import numpy.lib.recfunctions as rfn
-
-    cols = ["time", "size", "src", "dst", "proto", "kind"]
-    packed = rfn.repack_fields(trace.data[cols])
-    return hashlib.sha256(packed.tobytes()).hexdigest()
-
-
-def check_digests(scale: str, seed: int) -> int:
-    from bench_runtime import PROGRAMS
-
-    from repro.programs import run_measured
-
-    failures = 0
-    for name in PROGRAMS:
-        digests = {}
-        for queue in ("heap", "calendar"):
-            os.environ["REPRO_QUEUE"] = queue
-            try:
-                digests[queue] = _trace_digest(
-                    run_measured(name, scale=scale, seed=seed)
-                )
-            finally:
-                del os.environ["REPRO_QUEUE"]
-        same = digests["heap"] == digests["calendar"]
-        print(f"{name:<8} heap={digests['heap'][:16]} "
-              f"calendar={digests['calendar'][:16]}  "
-              f"{'ok' if same else 'DIVERGED'}")
-        if not same:
-            failures += 1
-    if failures:
-        print(f"FAIL: {failures} program(s) produce different traces "
-              f"under heap vs calendar queues")
-        return 1
-    print("digest gate clean (heap == calendar on every program)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", action="store_true",
-                        help="run the events/sec regression check (default "
-                             "when no mode flag is given)")
-    parser.add_argument("--digests", action="store_true",
-                        help="run the heap-vs-calendar trace digest check")
+                        help="run the events/sec regression check (the "
+                             "default and only check)")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
                         help="committed BENCH_runtime.json to compare against")
     parser.add_argument("--out", type=Path,
@@ -140,18 +87,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed events/sec drop before failing "
                              "(fraction, default 0.10)")
-    parser.add_argument("--scale", default=os.environ.get(
-        "REPRO_BENCH_RUNTIME_SCALE", "smoke"))
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(HERE))
-    status = 0
-    if args.bench or not args.digests:
-        status |= check_bench(args.baseline, args.out, args.tolerance)
-    if args.digests:
-        status |= check_digests(args.scale, args.seed)
-    return status
+    return check_bench(args.baseline, args.out, args.tolerance)
 
 
 if __name__ == "__main__":

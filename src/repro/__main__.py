@@ -72,7 +72,6 @@ import json
 import os
 import sys
 
-from .des.queues import QUEUES
 from .harness import ABLATIONS, EXPERIMENTS, export_artifact
 
 ALL_RUNNERS = {**EXPERIMENTS, **ABLATIONS}
@@ -148,7 +147,6 @@ def _produce_batch(exp_ids, args) -> None:
 
     _parse_faults(args)
     _apply_sanitize(args)
-    _apply_queue(args)
     _apply_telemetry(args)
     if _env_on("REPRO_SANITIZE") or _env_on(TELEMETRY_ENV_VAR):
         args.no_cache = True
@@ -207,15 +205,6 @@ def _apply_sanitize(args) -> None:
     downstream changes)."""
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"
-
-
-def _apply_queue(args) -> None:
-    """Honor ``--queue``: every simulator this process builds uses the
-    named future-event queue (all queues pop in the same ``(time, seq)``
-    order, so traces are byte-identical either way)."""
-    queue = getattr(args, "queue", None)
-    if queue:
-        os.environ["REPRO_QUEUE"] = queue
 
 
 def _apply_telemetry(args) -> None:
@@ -482,7 +471,6 @@ def _cmd_trace(args) -> int:
         return 2
     plan = _parse_faults(args)
     _apply_sanitize(args)
-    _apply_queue(args)
     _apply_telemetry(args)
     route = getattr(args, "route", "direct")
     detail: dict = {}
@@ -811,10 +799,6 @@ def main(argv=None) -> int:
                        help="collect telemetry counters/spans and print "
                             "a summary (implies --no-cache; traces stay "
                             "byte-identical)")
-        p.add_argument("--queue", choices=sorted(QUEUES), default=None,
-                       help="future-event queue for every simulator "
-                            "(default: calendar, or REPRO_QUEUE; traces "
-                            "are byte-identical either way)")
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment")
@@ -844,7 +828,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="sweep a program/scale/seed/faults/queue grid through the "
+        help="sweep a program/scale/seed/faults grid through the "
              "trace cache",
     )
     p_sweep.add_argument(
@@ -1067,4 +1051,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout exited (``repro list | head``).  Point
+        # stdout at devnull so the exit flush cannot raise again, and
+        # exit as a process killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    raise SystemExit(status)

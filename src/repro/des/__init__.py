@@ -1,10 +1,9 @@
 """A small deterministic discrete-event simulation engine.
 
 This is the substrate under the simulated cluster: processes are Python
-generators that yield :class:`Event` objects, and a pluggable scheduler
-(calendar queue by default, binary heap as the reference — see
-:mod:`repro.des.queues`) with FIFO tie-breaking guarantees exact
-reproducibility.
+generators that yield :class:`Event` objects, and one scheduler — a
+same-instant FIFO plus a ``heapq`` list of future events — with
+``(time, seq)`` FIFO tie-breaking guarantees exact reproducibility.
 
 Quick example::
 
@@ -25,16 +24,11 @@ Quick example::
 from .errors import EmptySchedule, Interrupt, SimulationError
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
-from .queues import CalendarQueue, HeapQueue, QUEUES, make_queue
 from .resources import FilterStore, Resource, Store
 from .simulator import Simulator
 
 __all__ = [
     "Simulator",
-    "HeapQueue",
-    "CalendarQueue",
-    "QUEUES",
-    "make_queue",
     "Event",
     "Timeout",
     "Process",

@@ -2,14 +2,16 @@
 
 An :class:`Event` is a one-shot occurrence with an outcome (a value or an
 exception).  Processes wait on events by ``yield``-ing them; arbitrary
-callbacks may also be attached.  Events are scheduled onto the simulator's
-heap with deterministic FIFO tie-breaking, so two events scheduled for the
+callbacks may also be attached.  Events fire from the simulator's
+same-instant ready list or its ``(time, seq)`` heap of future events,
+with deterministic FIFO tie-breaking, so two events scheduled for the
 same instant always fire in schedule order — this makes every simulation
 in the test suite exactly reproducible.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 from .errors import SimulationError
@@ -133,7 +135,7 @@ class Timeout(Event):
             sim._ready.append(self)
         else:
             sim._seq = seq = sim._seq + 1
-            sim._push(time, seq, self)
+            heappush(sim._heap, (time, seq, self))
 
 
 class _Condition(Event):

@@ -19,6 +19,7 @@ advance the generator twice (a ``send`` after the interrupt ``throw``).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from .errors import Interrupt, SimulationError
@@ -194,7 +195,7 @@ class Process(Event):
                 sim._ready.append(pending)
             else:
                 sim._seq = seq = sim._seq + 1
-                sim._push(time, seq, pending)
+                heappush(sim._heap, (time, seq, pending))
             return
         # Validate by attribute probe: every Event has ``sim``/``_state``,
         # so the AttributeError path fires only for non-event yields —

@@ -10,12 +10,11 @@ spectra, tables) is exactly repeatable given the same seeds:
   list.  Appending in schedule order *is* the ``(time, seq)`` order at
   the current instant, so the hot 60% of schedules cost one list append
   instead of a heap push, and the run loop drains a same-instant batch
-  without touching the future-event queue at all.
-* **Future events** go to a pluggable queue (:mod:`repro.des.queues`):
-  the calendar queue by default, or the reference binary heap —
-  selected via ``Simulator(queue=...)`` or the ``REPRO_QUEUE``
-  environment variable.  Queues return whole time batches, which the
-  loop feeds back through the ready list.
+  without touching the future-event set at all.
+* **Future events** go onto one list of ``(time, seq, entry)`` kept
+  with :mod:`heapq`.  The loop pops a whole time batch at once
+  (:meth:`Simulator._pop_batch`) and feeds it back through the ready
+  list.
 
 The observer check is hoisted out of the inner loop: :meth:`run`
 dispatches once to a tight unobserved loop, or to the instrumented one
@@ -26,13 +25,13 @@ production runs pay nothing per event for the observability hooks.
 from __future__ import annotations
 
 import os
+from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout, PROCESSED
 from .probe import Probe
 from .process import Process, _Resume
-from .queues import make_queue
 
 __all__ = ["Simulator"]
 
@@ -69,22 +68,15 @@ class Simulator:
         path attaches the *process-wide* instance so counters aggregate
         across runs.  Telemetry observes only — instrumented runs are
         byte-identical to uninstrumented ones.
-    queue:
-        The future-event set: a queue instance, class, or name
-        (``"calendar"``/``"heap"``, see :mod:`repro.des.queues`).
-        ``None`` defers to ``REPRO_QUEUE`` and defaults to the calendar
-        queue.  Every queue preserves the ``(time, seq)`` pop order
-        exactly, so the choice affects speed only, never the trace.
     """
 
     def __init__(self, strict: bool = True, sanitize: Optional[bool] = None,
-                 telemetry=None, queue=None):
+                 telemetry=None):
         self._now: float = 0.0
-        self._queue = make_queue(queue)
-        #: ``self._queue.push`` bound once — every future-event schedule
-        #: (sleeps, timeouts, ``_enqueue``) goes through it, and the
-        #: attribute hop + method bind per push is measurable there.
-        self._push = self._queue.push
+        #: Future events as ``(time, seq, entry)``, kept with ``heapq``.
+        #: ``seq`` is unique, so ties never compare entries.  Never
+        #: rebound: the run loops hold a reference to this list.
+        self._heap: list = []
         #: Same-instant FIFO: entries fire at ``_ready_time`` in list order.
         self._ready: list = []
         self._ready_time: float = 0.0
@@ -132,11 +124,6 @@ class Simulator:
         """The process currently being resumed, if any."""
         return self._active_process
 
-    @property
-    def queue(self):
-        """The future-event queue instance (see :mod:`repro.des.queues`)."""
-        return self._queue
-
     # -- event factories ----------------------------------------------
     def event(self) -> Event:
         """A fresh untriggered event."""
@@ -164,10 +151,10 @@ class Simulator:
         now.
 
         Same-instant events append to the ready FIFO (schedule order is
-        ``(time, seq)`` order at one instant); future events go to the
-        queue with the next sequence number.  A past time (possible only
+        ``(time, seq)`` order at one instant); future events go on the
+        heap with the next sequence number.  A past time (possible only
         by deliberate misuse — ``Timeout`` guards against negative
-        delays) also goes to the queue, where the next pop surfaces it
+        delays) also goes on the heap, where the next pop surfaces it
         to the sanitizer's causality check.
         """
         time = self._now + delay
@@ -175,7 +162,7 @@ class Simulator:
             self._ready.append(event)
         else:
             self._seq = seq = self._seq + 1
-            self._push(time, seq, event)
+            heappush(self._heap, (time, seq, event))
 
     def schedule_at(self, time: float, value: Any = None) -> Event:
         """An event that fires at absolute simulation time ``time``."""
@@ -188,16 +175,28 @@ class Simulator:
         """Time of the next event, or ``inf`` if none remain."""
         if self._ready:
             return self._ready_time
-        return self._queue.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")
+
+    def _pop_batch(self) -> float:
+        """Move every future entry at the earliest pending time onto the
+        (empty) ready list, in ``seq`` order, and return that time.
+        Raises IndexError when nothing is pending."""
+        heap = self._heap
+        ready = self._ready
+        time, _seq, entry = heappop(heap)
+        ready.append(entry)
+        while heap and heap[0][0] == time:
+            ready.append(heappop(heap)[2])
+        return time
 
     def step(self) -> None:
         """Process exactly one event (the reference path; :meth:`run`
         uses the batched loop)."""
         ready = self._ready
         if not ready:
-            if not len(self._queue):
+            if not self._heap:
                 raise EmptySchedule("no scheduled events")
-            self._ready_time = self._queue.pop_batch(ready)
+            self._ready_time = self._pop_batch()
         entry = ready.pop(0)
         time = self._ready_time
         probe = self.probe
@@ -209,9 +208,8 @@ class Simulator:
     def _run_fast(self) -> None:
         """The unobserved inner loop: drain ready batches until empty."""
         ready = self._ready
-        queue = self._queue
-        pop_batch = queue.pop_batch
-        qlen = queue.__len__
+        heap = self._heap
+        pop_batch = self._pop_batch
         try:
             while True:
                 # C-level iteration: callbacks append to ``ready`` while
@@ -241,9 +239,9 @@ class Simulator:
                             for cb in callbacks:
                                 cb(entry)
                 del ready[:]
-                if not qlen():
+                if not heap:
                     break
-                self._ready_time = self._now = pop_batch(ready)
+                self._ready_time = self._now = pop_batch()
         except BaseException:
             # Keep the unprocessed tail (a StopSimulation or process
             # exception aborts mid-batch; a later run()/step() resumes).
@@ -260,8 +258,8 @@ class Simulator:
     def _run_observed(self) -> None:
         """The same loop with the probe's per-event ``on_pop`` hook."""
         ready = self._ready
-        queue = self._queue
-        pop_batch = queue.pop_batch
+        heap = self._heap
+        pop_batch = self._pop_batch
         on_pop = self.probe.on_pop
         i = 0
         try:
@@ -275,9 +273,9 @@ class Simulator:
                 else:
                     del ready[:]
                     i = 0
-                    if not len(queue):
+                    if not heap:
                         break
-                    self._ready_time = pop_batch(ready)
+                    self._ready_time = pop_batch()
         finally:
             del ready[:i]
 
@@ -344,6 +342,5 @@ class Simulator:
         raise StopSimulation(event)
 
     def __repr__(self):  # pragma: no cover - cosmetic
-        queued = len(self._ready) + len(self._queue)
-        return (f"<Simulator t={self._now:.6f} queued={queued} "
-                f"queue={self._queue.name}>")
+        queued = len(self._ready) + len(self._heap)
+        return f"<Simulator t={self._now:.6f} queued={queued}>"

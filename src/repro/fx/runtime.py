@@ -71,12 +71,6 @@ class FxCluster:
         ``medium="switched"``; monitored runs produce byte-identical
         traces.  The attached :class:`~repro.netmon.FabricMonitor` is
         exposed as ``cluster.qmon``.
-    queue:
-        Future-event queue for the simulator (name, class, or instance —
-        see :func:`repro.des.queues.make_queue`); ``None`` defers to the
-        ``REPRO_QUEUE`` environment variable and the calendar-queue
-        default.  All queues pop in the same ``(time, seq)`` order, so
-        the choice never changes a trace.
     """
 
     def __init__(
@@ -90,13 +84,12 @@ class FxCluster:
         faults=None,
         sanitize: Optional[bool] = None,
         telemetry=None,
-        queue=None,
         qmon=None,
     ):
         if n_machines < 2:
             raise ValueError("a cluster needs at least 2 machines")
         self.seed = seed
-        self.sim = Simulator(sanitize=sanitize, telemetry=telemetry, queue=queue)
+        self.sim = Simulator(sanitize=sanitize, telemetry=telemetry)
         self.faults: Optional[FaultPlan] = FaultPlan.coerce(faults)
         self.fault_injector: Optional[FaultInjector] = None
         if self.faults is not None:

@@ -1,14 +1,14 @@
 """Sharded sweep engine over the content-addressed trace cache.
 
-The paper's methodology is a grid — program x scale x seed x faults x
-queue — and every harness front end (experiments, ablations,
-replication, figures, benchmarks) consumes traces drawn from that grid.
-This module is the one production engine behind all of them:
+The paper's methodology is a grid — program x scale x seed x faults —
+and every harness front end (experiments, ablations, replication,
+figures, benchmarks) consumes traces drawn from that grid.  This module
+is the one production engine behind all of them:
 
 * :func:`parse_grid` expands a compact spec
-  (``program=sor,2dfft scale=smoke seed=0..7 queue=heap,calendar``)
-  into deduplicated, content-addressed :class:`~.store.TraceKey` work
-  items, in a deterministic order;
+  (``program=sor,2dfft scale=smoke seed=0..7``) into deduplicated,
+  content-addressed :class:`~.store.TraceKey` work items, in a
+  deterministic order;
 * :func:`run_sweep` shards the missing keys across a **persistent**
   ``ProcessPoolExecutor`` (:func:`shared_pool` — initialized once per
   process with the program registry, reused by every later sweep and by
@@ -96,7 +96,7 @@ class GridError(ValueError):
 #: typo (``sclae=smoke``) fails loudly instead of silently running the
 #: default grid.
 _KNOWN_AXES = ("program", "scale", "seed", "iterations", "nprocs", "route",
-               "queue", "faults")
+               "faults")
 
 _INT_AXES = ("seed", "iterations", "nprocs")
 
@@ -254,15 +254,6 @@ def parse_grid(spec: Union[str, Sequence[str]]) -> SweepGrid:
                             raise GridError(
                                 f"unknown route {part!r}; known: {known}"
                             ) from None
-                elif axis == "queue":
-                    from ..des.queues import QUEUES
-
-                    if part.lower() not in QUEUES:
-                        raise GridError(
-                            f"unknown queue {part!r}; "
-                            f"known: {', '.join(sorted(QUEUES))}"
-                        )
-                    values.append(part.lower())
         if not values:
             raise GridError(f"axis {axis!r} has no values in {token!r}")
         # Dedup values while preserving first-seen order.
@@ -300,10 +291,6 @@ def expand_grid(grid: SweepGrid) -> List[Tuple[TraceKey, dict]]:
                 overrides[axis] = point[axis]
         if point.get("faults") is not None:
             overrides["faults"] = point["faults"]
-        if "queue" in point:
-            # The event queue changes speed, never bytes; it reaches the
-            # simulator through the cluster construction kwargs.
-            overrides["cluster_kwargs"] = {"queue": point["queue"]}
         key = TraceKey.make(
             point["program"],
             scale=point.get("scale", "default"),

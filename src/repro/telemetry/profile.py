@@ -149,8 +149,6 @@ def profile_program(
     wall = tel.clock() - wall_start
     tel.gauge("run.wall_seconds", wall)
     tel.gauge("run.sim_seconds", cluster.sim.now)
-    queue = cluster.sim.queue
-    tel.gauge("des.queue.resizes", float(getattr(queue, "resizes", 0)))
     return ProfileResult(name=name, scale=scale, seed=seed, trace=trace,
                          telemetry=tel, wall_seconds=wall, cluster=cluster)
 
@@ -166,8 +164,6 @@ def format_profile(result: ProfileResult, top_counters: int = 12) -> str:
         f"events popped:    {result.events_popped:10d}",
         f"events/sec:       {result.events_per_second:10.0f}",
         f"packets captured: {len(result.trace):10d}",
-        f"event queue:      {result.cluster.sim.queue.name:>10s} "
-        f"({getattr(result.cluster.sim.queue, 'resizes', 0)} resizes)",
         "",
         f"{'subsystem':<16} {'resumes':>9} {'self ms':>10} {'share':>7}",
         "-" * 46,

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,23 @@ def test_list_prints_all_experiments(capsys):
     for exp_id in ("fig1", "fig11", "model", "qos", "baseline",
                    "abl-bandwidth", "abl-interfere"):
         assert exp_id in out
+
+
+def test_list_into_closed_pipe_exits_quietly():
+    """A reader that exits first (``repro list | true``) ends the command
+    with the shell's SIGPIPE status and no BrokenPipeError traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", "list"],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_run_static_experiment(capsys):

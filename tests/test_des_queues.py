@@ -1,13 +1,11 @@
-"""The pluggable event-queue layer: heap/calendar equivalence and the
+"""The event queue: the simulator's ``(time, seq)`` pop order, and the
 scheduler-edge bugfixes that rode along with it.
 
-The load-bearing property is that every queue pops in ascending
-``(time, seq)`` order — the heap is the reference, and the calendar
-queue must match it *exactly* on any schedule the simulator can
-generate, including the adversarial ones (sparse schedules that force
-recalibration, far-future stragglers that used to inflate the bucket
-width, and times that land on bucket boundaries where float rounding
-once disagreed between push and pop).
+The load-bearing property is that entries fire in ascending
+``(time, seq)`` order — ``seq`` being creation order — whichever path
+scheduled them: a :class:`Timeout`, a process sleeping on a bare delay,
+or :meth:`Simulator._enqueue`.  The reference is ``sorted`` over what
+the test recorded as it scheduled each entry, not a second queue.
 """
 
 import hashlib
@@ -16,197 +14,71 @@ import random
 
 import pytest
 
-from repro.des import (CalendarQueue, Event, HeapQueue, Interrupt, QUEUES,
-                       SimulationError, Simulator, Timeout, make_queue)
+from repro.des import Event, Interrupt, SimulationError, Simulator, Timeout
 from repro.des.process import _Resume
 
 DES_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "des"
 
 
-# -- queue-level equivalence ------------------------------------------
+# -- pop order against a sorted oracle ----------------------------------
 
 
-def _drain(queue):
-    order = []
-    while len(queue):
-        batch = []
-        time = queue.pop_batch(batch)
-        assert batch, "pop_batch returned an empty batch"
-        for entry in batch:
-            order.append((time, entry))
-    return order
+def _random_gap(rng):
+    """A gap shaped like the simulator's schedules: a same-instant burst
+    (zero), mostly small forward steps, occasionally a sparse jump."""
+    roll = rng.random()
+    if roll < 0.25:
+        return 0.0
+    if roll < 0.85:
+        return rng.choice((1e-6, 13e-6, 50e-6, 100e-6)) * rng.randint(1, 9)
+    return rng.uniform(0.01, 2.0)
 
 
-def _random_schedule(rng, n):
-    """A schedule shaped like the simulator's: mostly small forward
-    gaps, occasional bursts at one instant, occasional far jumps."""
-    items = []
-    time = 0.0
-    seq = 0
-    while len(items) < n:
-        roll = rng.random()
-        if roll < 0.25:
-            pass  # another event at the same time (distinct seq)
-        elif roll < 0.85:
-            time += rng.choice((1e-6, 13e-6, 50e-6, 100e-6)) * rng.randint(1, 9)
-        else:
-            time += rng.uniform(0.01, 2.0)  # sparse stretch
-        seq += 1
-        items.append((time, seq))
-    rng.shuffle(items)
-    return items
+def _oracle_run(seed, workers=16, steps=25):
+    """Workers that each wait on one random gap at a time, created while
+    the simulation runs, so pushes interleave with pops.  Each wait
+    cycles through the three schedule paths.  Returns the ``(time,
+    creation index)`` of every wait and the indices in firing order."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    created = []
+    fired = []
+
+    def worker():
+        for _ in range(steps):
+            gap = _random_gap(rng)
+            index = len(created)
+            created.append((sim.now + gap, index))
+            path = index % 3
+            if path == 0:
+                yield sim.timeout(gap)
+            elif path == 1:
+                yield gap  # the sleep protocol
+            else:
+                event = sim.event()
+                sim._enqueue(event, gap)
+                yield event
+            fired.append(index)
+
+    for _ in range(workers):
+        sim.process(worker())
+    sim.run()
+    return created, fired
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_schedules_pop_identically(seed):
-    rng = random.Random(seed)
-    items = _random_schedule(rng, 400)
-    heap, cal = HeapQueue(), CalendarQueue()
-    for time, seq in items:
-        heap.push(time, seq, seq)
-        cal.push(time, seq, seq)
-    assert _drain(cal) == _drain(heap)
+    """Every wait fires in the order ``sorted`` gives by ``(time,
+    creation index)``."""
+    created, fired = _oracle_run(seed)
+    assert len(fired) == 400
+    assert fired == [index for _time, index in sorted(created)]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_interleaved_push_pop_matches_heap(seed):
-    """Pushes interleaved with pops — the scan position moves while new
-    events keep arriving ahead of it, as in a live simulation."""
-    rng = random.Random(100 + seed)
-    heap, cal = HeapQueue(), CalendarQueue()
-    now = 0.0
-    seq = 0
-    for _ in range(60):
-        for _ in range(rng.randint(1, 12)):
-            seq += 1
-            delay = rng.choice((0.0, 1e-6, 77e-6, 1e-3, 0.4)) * rng.randint(1, 5)
-            heap.push(now + delay, seq, seq)
-            cal.push(now + delay, seq, seq)
-        pops = rng.randint(1, 3)
-        for _ in range(pops):
-            if not len(heap):
-                break
-            h_batch, c_batch = [], []
-            h_time = heap.pop_batch(h_batch)
-            c_time = cal.pop_batch(c_batch)
-            assert c_time == h_time
-            assert c_batch == h_batch
-            now = h_time
-    assert _drain(cal) == _drain(heap)
-
-
-def test_bucket_boundary_rounding_pops_in_order():
-    """Regression: times that are inexact float multiples of the bucket
-    width used to hash into bucket *k* while the scan's recomputed
-    window boundary still claimed bucket *k-1* — popping a later event
-    first.  The scan now accepts entries with the exact hash push used,
-    so placement and acceptance cannot disagree."""
-    heap, cal = HeapQueue(), CalendarQueue()
-    times = sorted(d * step for step in range(1, 9) for d in (0.1, 0.2, 0.3))
-    for seq, time in enumerate(times):
-        heap.push(time, seq, seq)
-        cal.push(time, seq, seq)
-    heap_order = _drain(heap)
-    assert _drain(cal) == heap_order
-    popped_times = [t for t, _ in heap_order]
-    assert popped_times == sorted(popped_times)
-
-
-def test_sparse_schedule_recalibrates_instead_of_scanning():
-    """A schedule far sparser than the bucket width (the classic
-    calendar-queue failure mode) must recalibrate — deterministically —
-    and still pop in exact heap order.  The population must outgrow
-    ``SPILL_AT`` first: below it the hybrid serves pops from its heap
-    regime, where sparseness costs nothing."""
-    heap, cal = HeapQueue(), CalendarQueue()
-    n = CalendarQueue.SPILL_AT + 200
-    for seq in range(n):
-        time = seq * 0.5  # 10,000x the initial 50us width
-        heap.push(time, seq, seq)
-        cal.push(time, seq, seq)
-    assert _drain(cal) == _drain(heap)
-    assert cal.resizes > 0
-
-
-def test_far_future_straggler_does_not_inflate_width():
-    """One watchdog-style event years ahead of a dense cluster must not
-    stretch the derived width until the dense events collapse into a
-    single bucket (the median-gap sizing rule)."""
-    heap, cal = HeapQueue(), CalendarQueue()
-    heap.push(3600.0, 0, 0)
-    cal.push(3600.0, 0, 0)
-    for seq in range(1, 300):
-        time = seq * 20e-6
-        heap.push(time, seq, seq)
-        cal.push(time, seq, seq)
-    assert _drain(cal) == _drain(heap)
-
-
-def test_same_instant_fifo_within_batch():
-    cal = CalendarQueue()
-    for seq in (3, 1, 2):
-        cal.push(1.25, seq, f"e{seq}")
-    out = []
-    assert cal.pop_batch(out) == 1.25
-    assert out == ["e1", "e2", "e3"]
-
-
-def test_grow_and_shrink_preserve_order():
-    heap, cal = HeapQueue(), CalendarQueue()
-    rng = random.Random(7)
-    for seq in range(5000):  # force several doublings
-        time = rng.uniform(0.0, 10.0)
-        heap.push(time, seq, seq)
-        cal.push(time, seq, seq)
-    assert cal.resizes > 0
-    assert _drain(cal) == _drain(heap)  # shrinks on the way down
-
-
-def test_empty_pop_raises():
-    for queue in (HeapQueue(), CalendarQueue()):
-        with pytest.raises(IndexError):
-            queue.pop_batch([])
-
-
-def test_peek_time():
-    for queue in (HeapQueue(), CalendarQueue()):
-        assert queue.peek_time() == float("inf")
-        queue.push(2.0, 1, "a")
-        queue.push(1.0, 2, "b")
-        assert queue.peek_time() == 1.0
-
-
-# -- selection ---------------------------------------------------------
-
-
-def test_make_queue_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_QUEUE", raising=False)
-    assert isinstance(make_queue(), CalendarQueue)
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("CALENDAR"), CalendarQueue)
-    assert isinstance(make_queue(HeapQueue), HeapQueue)
-    inst = CalendarQueue()
-    assert make_queue(inst) is inst
-    monkeypatch.setenv("REPRO_QUEUE", "heap")
-    assert isinstance(make_queue(), HeapQueue)
-    with pytest.raises(ValueError, match="unknown event queue"):
-        make_queue("splay")
-
-
-def test_simulator_queue_kwarg_and_repr():
-    sim = Simulator(queue="heap")
-    assert sim.queue.name == "heap"
-    assert "queue=heap" in repr(sim)
-    assert Simulator().queue.name in QUEUES
-
-
-# -- simulator-level equivalence ---------------------------------------
-
-
-def _workload_timeline(queue, seed):
-    """A mixed workload under the given queue: the (now, label) sequence
-    is the observable pop order."""
-    sim = Simulator(queue=queue)
+def _workload_timeline(seed):
+    """A mixed workload: the (now, label) sequence is the observable pop
+    order."""
+    sim = Simulator()
     rng = random.Random(seed)
     timeline = []
 
@@ -229,21 +101,29 @@ def _workload_timeline(queue, seed):
     return timeline
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_simulation_timeline_identical_across_queues(seed):
-    heap_tl = _workload_timeline("heap", seed)
-    cal_tl = _workload_timeline("calendar", seed)
-    assert heap_tl == cal_tl
-    h = hashlib.sha256(repr(heap_tl).encode()).hexdigest()
-    c = hashlib.sha256(repr(cal_tl).encode()).hexdigest()
-    assert h == c
+#: sha256 of ``repr(_workload_timeline(seed))``, recorded when a binary
+#: heap and a calendar queue both produced it.
+TIMELINE_SHA256 = {
+    0: "8aa7180e7a34b6339a06a04996563c0bc6e15929d87824458b32240cc5eaad2f",
+    1: "09d910e610429f44d8b0d1977ccdf7faa1a5945edf2bc13d033b690675cfbf6f",
+    2: "d3f167f0614ae294d8eefeb3a9a8736072e207276c4d8a19e793f67607daed13",
+    3: "f5973fd614f1524cf2af6c2a2fd1b6b764d994254faac8dfecc8ea075f82b798",
+}
 
 
-def test_clock_is_monotone_under_calendar():
-    """Regression for the boundary-rounding bug, at the simulator level:
-    three periodic processes with periods 0.1/0.2/0.3 hit inexact float
-    boundaries that once popped 1.8 before 1.6."""
-    sim = Simulator(queue="calendar")
+@pytest.mark.parametrize("seed", sorted(TIMELINE_SHA256))
+def test_simulation_timeline_matches_recording(seed):
+    timeline = _workload_timeline(seed)
+    assert len(timeline) == 150
+    digest = hashlib.sha256(repr(timeline).encode()).hexdigest()
+    assert digest == TIMELINE_SHA256[seed]
+
+
+def test_clock_is_monotone():
+    """Regression for a bucket-boundary rounding bug, at the simulator
+    level: three periodic processes with periods 0.1/0.2/0.3 hit inexact
+    float boundaries that once popped 1.8 before 1.6."""
+    sim = Simulator()
     times = []
 
     def proc(d):
@@ -375,7 +255,7 @@ def test_hot_classes_have_no_dict():
 
     proc = sim.process(noop())
     for obj in (Event(sim), Timeout(sim, 1.0), proc,
-                _Resume(proc, True, None), HeapQueue(), CalendarQueue()):
+                _Resume(proc, True, None)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

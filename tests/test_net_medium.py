@@ -45,6 +45,12 @@ def test_transmission_time_matches_bandwidth(sim, bus):
 
 
 def test_frames_from_one_sender_serialize(sim, bus):
+    """A lone station sends back to back, as the MAC's closed form says:
+    the first frame lands after one contention window and its wire time,
+    and every later one a full period after the last — window + wire
+    time + inter-frame gap, 32 + 1,526 + 12 byte times for a full frame.
+    The MAC adds these terms exactly, so the tolerance is float rounding
+    only."""
     nics = make_nics(sim, bus, 2)
     times = []
     nics[1].set_rx_handler(lambda f, t: times.append(t))
@@ -52,9 +58,12 @@ def test_frames_from_one_sender_serialize(sim, bus):
         nics[0].send(EthernetFrame(src=0, dst=1, payload_size=1500))
     sim.run()
     assert len(times) == 5
+    wire = EthernetFrame(src=0, dst=1, payload_size=1500).wire_bits / bus.bandwidth_bps
+    assert times[0] == pytest.approx(bus.contention_window + wire, rel=1e-9)
+    period = bus.contention_window + wire + bus.ifg_time
+    assert period * bus.bandwidth_bps / 8 == pytest.approx(32 + 1526 + 12)
     gaps = [b - a for a, b in zip(times, times[1:])]
-    min_gap = EthernetFrame(src=0, dst=1, payload_size=1500).wire_bits / bus.bandwidth_bps
-    assert all(g >= min_gap for g in gaps)
+    assert gaps == pytest.approx([period] * 4, rel=1e-9)
 
 
 def test_unicast_not_delivered_to_third_party(sim, bus):

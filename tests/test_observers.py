@@ -6,8 +6,8 @@
   manifest and the sanitizer's check count must equal the values
   recorded here, and each trace must equal the unobserved run's.
 * **The digest matrix.**  Every fault-free golden program under
-  ``{heap, calendar} x {telemetry on, off} x {sanitized, not}``
-  reproduces its golden trace.
+  ``{telemetry on, off} x {sanitized, not}`` reproduces its golden
+  trace.
 * **The probe contract.**  No hook fires with nothing subscribed, a
   subscriber added after the components are built still sees every
   hook, and the simulation packages reach observers only through
@@ -186,18 +186,16 @@ class TestGoldenObserverOutputs:
 
 
 class TestDigestMatrix:
-    """``{heap, calendar} x {telemetry on, off} x {sanitized, not}``
-    reproduces the golden traces; with both observers on, every hook
-    fans out to two subscribers."""
+    """``{telemetry on, off} x {sanitized, not}`` reproduces the golden
+    traces; with both observers on, every hook fans out to two
+    subscribers."""
 
     @pytest.mark.parametrize("sanitize", [False, True])
     @pytest.mark.parametrize("telemetry", [False, True])
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_FAULT_FREE))
-    def test_golden_digest(self, name, queue, telemetry, sanitize):
+    def test_golden_digest(self, name, telemetry, sanitize):
         packets, digest = GOLDEN_FAULT_FREE[name]
         trace = run_measured(name, scale="smoke", seed=0,
-                             cluster_kwargs={"queue": queue},
                              sanitize=sanitize, telemetry=telemetry)
         assert len(trace) == packets
         assert _legacy_digest(trace) == digest

@@ -49,10 +49,6 @@ class TestParseGrid:
         grid = parse_grid("program=sor,hist,sor")
         assert grid.values("program") == ["sor", "hist"]
 
-    def test_queue_axis(self):
-        grid = parse_grid("program=sor queue=heap,calendar")
-        assert grid.values("queue") == ["heap", "calendar"]
-
     def test_faults_axis_semicolons(self):
         grid = parse_grid("program=sor faults=none;loss=0.01,seed=1")
         vals = grid.values("faults")
@@ -61,7 +57,7 @@ class TestParseGrid:
 
     def test_describe_round_trips(self):
         spec = ("program=sor,hist scale=smoke seed=0,1 route=direct "
-                "queue=heap faults=none;loss=0.01,seed=1")
+                "faults=none;loss=0.01,seed=1")
         grid = parse_grid(spec)
         again = parse_grid(grid.describe())
         assert again.describe() == grid.describe()
@@ -97,12 +93,6 @@ class TestExpandGrid:
         a = expand_grid(parse_grid("program=sor,hist seed=0,1 scale=smoke"))
         b = expand_grid(parse_grid("seed=1,0 scale=smoke program=hist,sor"))
         assert a == b
-
-    def test_queue_maps_to_cluster_kwargs(self):
-        items = expand_grid(parse_grid("program=sor queue=calendar"))
-        (key, overrides), = items
-        assert overrides == {"cluster_kwargs": {"queue": "calendar"}}
-        assert dict(key.overrides)  # participates in the cache key
 
     def test_equivalent_faults_dedup_to_one_key(self):
         # Same plan spelled twice: TraceKey canonicalization collapses it.
@@ -185,7 +175,7 @@ class TestRunSweep:
 
 
 class TestManifest:
-    GRID = "program=sor,hist scale=smoke seed=0..1 queue=heap,calendar"
+    GRID = "program=sor,hist scale=smoke seed=0..3"
 
     def test_serial_pooled_resumed_byte_identical(self, tmp_path):
         serial = run_sweep(self.GRID, jobs=1,
