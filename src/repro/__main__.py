@@ -58,10 +58,11 @@ prints a counter summary when it finishes.  Like ``--sanitize`` it
 implies ``--no-cache`` for ``run``/``all`` (cached traces involve no
 simulation to observe, and pool workers' counters would never reach
 this process) and leaves trace bytes untouched.  ``REPRO_SANITIZE`` or
-``REPRO_TELEMETRY`` set in the environment count as the flags.
-``repro profile`` is the dedicated
-front-end: one run under a private telemetry instance, reported as a
-per-subsystem wall-time breakdown with optional Chrome-trace and
+``REPRO_TELEMETRY`` set in the environment count as the flags; the
+flags set them until the command returns.
+``repro profile`` is the dedicated front-end: a sampling profile of an
+unobserved run per ``repro`` module, beside the counters of a run under
+a private telemetry instance, with optional Chrome-trace and
 ``metrics.json`` exports.
 """
 
@@ -583,7 +584,7 @@ def _cmd_profile(args) -> int:
             args.program, scale=args.scale, seed=args.seed,
             nprocs=args.nprocs, iterations=args.iterations, faults=plan,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"profile: {exc}", file=sys.stderr)
         return 2
     print(format_profile(result, top_counters=args.top))
@@ -596,7 +597,9 @@ def _cmd_profile(args) -> int:
               f"-> {args.emit_chrome}]")
     if args.emit_metrics is not None:
         meta["wall_seconds"] = round(result.wall_seconds, 6)
+        meta["observed_wall_seconds"] = round(result.observed_wall_seconds, 6)
         meta["packets"] = len(result.trace)
+        meta["samples"] = dict(sorted(result.samples.items()))
         meta["reconciliation"] = result.reconcile()
         write_metrics(result.telemetry, args.emit_metrics, **meta)
         print(f"[metrics -> {args.emit_metrics}]")
@@ -959,7 +962,8 @@ def main(argv=None) -> int:
     p_warm.set_defaults(fn=_cmd_cache_warm)
 
     p_prof = sub.add_parser(
-        "profile", help="wall-clock hot-path breakdown of one measured run"
+        "profile", help="sampling profile of one measured run, per repro "
+                        "module, with telemetry counters"
     )
     p_prof.add_argument("program")
     p_prof.add_argument("--scale", default="default",
@@ -1047,7 +1051,16 @@ def main(argv=None) -> int:
     p_demo.set_defaults(fn=_cmd_faults_demo)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # --sanitize/--telemetry set these for the one command only.
+    saved = {name: os.environ.get(name)
+             for name in ("REPRO_SANITIZE", "REPRO_TELEMETRY")}
+    try:
+        return args.fn(args)
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":

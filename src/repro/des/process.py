@@ -83,16 +83,9 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        # The resume callback, bound once.  With telemetry attached the
-        # resume's wall time is attributed to this process's name — the
-        # raw material of ``repro profile``'s per-subsystem breakdown
-        # (resumes never nest, so the timing needs no stack).  Without
-        # it, resuming is a direct jump into the advance step: the
-        # telemetry check is decided here, not per event.
-        if sim.telemetry is None:
-            self._resume = self._advance
-        else:
-            self._resume = self._resume_timed
+        # The resume callback, bound once, so registering it on a target
+        # allocates no bound method.
+        self._resume = self._advance
         # Kick-start: resume the generator at the current simulation
         # time, through the queue so creation order is execution order.
         self._pending = pending = _Resume(self, True, None)
@@ -137,19 +130,9 @@ class Process(Event):
         self.sim._ready.append(wakeup)
 
     # -- engine ------------------------------------------------------
-    def _resume_timed(self, event) -> None:
-        """Advance the generator, attributing wall time to this process."""
-        tel = self.sim.telemetry
-        wall_start = tel.clock()
-        try:
-            self._advance(event)
-        finally:
-            tel.wall_account(self.name, tel.clock() - wall_start)
-
     def _advance(self, event) -> None:
         """Advance the generator with ``event``'s outcome."""
         sim = self.sim
-        sim._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -157,21 +140,17 @@ class Process(Event):
             else:
                 next_event = self._throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:
             # An unhandled interrupt terminates the process as a failure.
-            sim._active_process = None
             self.fail(exc)
             return
         except BaseException as exc:
-            sim._active_process = None
             if sim.strict:
                 raise
             self.fail(exc)
             return
-        sim._active_process = None
         # Sleep protocol: a bare number is a delay.  The resume record
         # goes into exactly the ``(time, seq)`` slot the equivalent
         # ``Timeout`` would have taken (the Timeout would consume the

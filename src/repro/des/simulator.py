@@ -60,9 +60,9 @@ class Simulator:
         run is byte-identical to an unsanitized one.
     telemetry:
         Attach a :class:`~repro.telemetry.Telemetry` observer collecting
-        spans, counters, and wall-time accounting from every
-        instrumented layer (see ``docs/architecture.md``, "Telemetry &
-        profiling").  Pass ``True`` for a private instance, an existing
+        spans and counters from every instrumented layer (see
+        ``docs/architecture.md``, "Telemetry & profiling").  Pass
+        ``True`` for a private instance, an existing
         :class:`~repro.telemetry.Telemetry` to share one, or ``None``
         (the default) to defer to ``REPRO_TELEMETRY`` — the environment
         path attaches the *process-wide* instance so counters aggregate
@@ -82,7 +82,6 @@ class Simulator:
         self._ready_time: float = 0.0
         self._seq: int = 0
         self.strict = strict
-        self._active_process: Optional[Process] = None
         #: Observers in subscription order; ``probe`` fans hooks out to them.
         self.subscribers: tuple = ()
         self.probe: Optional[Probe] = None
@@ -118,11 +117,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ----------------------------------------------
     def event(self) -> Event:

@@ -48,7 +48,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from ..atomic import write_atomic
 from ..capture import load_npz, trace_digest
-from ..telemetry import Telemetry, maybe_count, process_telemetry
+from ..telemetry import (TELEMETRY_ENV_VAR, Telemetry, maybe_count,
+                         disable_process_telemetry, process_telemetry)
 from .resilience import (
     DEFAULT_RETRY,
     DRAIN_TIMEOUT,
@@ -360,6 +361,10 @@ def _worker_init() -> None:
     rather than paying the import tax per task.)"""
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, signal.SIG_IGN)
+    # A worker's counters could not reach the parent, so it attaches no
+    # telemetry.  REPRO_SANITIZE stays: a worker's sanitizer can fail a key.
+    os.environ.pop(TELEMETRY_ENV_VAR, None)
+    disable_process_telemetry()
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      name="exit-with-parent", daemon=True).start()
     from ..fx import FxCluster  # noqa: F401 - imported for side effects

@@ -131,9 +131,9 @@ def run_measured(
         :class:`~repro.netmon.FabricMonitor` lands in ``detail["qmon"]``.
     detail:
         Pass a dict to receive the run summary —
-        :meth:`FxCluster.fault_report` plus ``retransmit_share`` — in
-        addition to the trace (it does not affect the trace bytes or
-        the cache key).
+        :meth:`FxCluster.fault_report` plus ``retransmit_share`` — and
+        the testbed itself (``detail["cluster"]``) in addition to the
+        trace (it does not affect the trace bytes or the cache key).
     """
     if iterations is None:
         try:
@@ -166,6 +166,7 @@ def run_measured(
         detail.update(cluster.fault_report())
         detail["packets"] = len(trace)
         detail["retransmit_share"] = trace.retransmit_share()
+        detail["cluster"] = cluster
         if cluster.qmon is not None:
             detail["qmon"] = cluster.qmon
     return trace

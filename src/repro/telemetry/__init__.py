@@ -12,7 +12,9 @@ observes, never schedules).
 Exports: Chrome trace-event JSON (:func:`write_chrome`, opens in
 Perfetto / ``chrome://tracing`` with one track per host/NIC/pipe),
 ``metrics.json`` snapshots (:func:`write_metrics`), and the
-``repro profile`` hot-path breakdown (:func:`profile_program`).
+``repro profile`` report (:func:`profile_program`): a ``SIGPROF``
+sampling profile of an unobserved run, beside the counters of an
+observed one.
 """
 
 from .chrome import chrome_trace, validate_chrome_trace, write_chrome
@@ -24,7 +26,6 @@ from .core import (
     enable_process_telemetry,
     maybe_count,
     process_telemetry,
-    subsystem_of,
 )
 from .metrics import METRICS_SCHEMA_VERSION, metrics_snapshot, write_metrics
 from .profile import ProfileResult, format_profile, profile_program
@@ -33,7 +34,6 @@ __all__ = [
     "Telemetry",
     "Span",
     "TELEMETRY_ENV_VAR",
-    "subsystem_of",
     "process_telemetry",
     "enable_process_telemetry",
     "disable_process_telemetry",

@@ -1,4 +1,4 @@
-"""Telemetry core: spans, counters, gauges, and wall-time accounting.
+"""Telemetry core: spans, counters, and gauges.
 
 A :class:`Telemetry` instance rides along with a simulation the same way
 the runtime sanitizer does: it subscribes to the simulator's probe
@@ -10,7 +10,7 @@ all bookkeeping outside simulation state, so an instrumented run
 produces byte-identical traces to an uninstrumented one (enforced by
 golden-digest tests).
 
-Three kinds of measurement are collected:
+Two kinds of measurement are collected:
 
 * **spans** — named intervals keyed by *both* simulation time and wall
   time, carrying a category (the subsystem) and a track (the simulated
@@ -20,9 +20,6 @@ Three kinds of measurement are collected:
 * **counters / gauges** — monotone event counts (events popped, frames
   offered/delivered/dropped, collisions, backoff rounds, retransmits,
   cache hits, bytes per connection) and last/max-value gauges.
-* **wall accounting** — wall-clock self time per simulation process,
-  recorded around every process resume; the profiler aggregates it into
-  a per-subsystem hot-path breakdown.
 
 Wall-clock readings come from an injectable ``clock`` callable (default
 ``time.perf_counter``); they are recorded next to simulation state,
@@ -34,7 +31,6 @@ the DES core imports *it* lazily, so there is no cycle.
 
 from __future__ import annotations
 
-import re
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -42,7 +38,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "TELEMETRY_ENV_VAR",
-    "subsystem_of",
     "process_telemetry",
     "enable_process_telemetry",
     "disable_process_telemetry",
@@ -58,27 +53,6 @@ TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 #: never fed back into it (the determinism contract's carve-out for
 #: observer-only instrumentation).
 _WALL_CLOCK = time.perf_counter
-
-#: Process-name → subsystem rules for the profiler's hot-path table.
-#: Ordered; first match wins.  The MAC procedure of the shared bus runs
-#: inside the owning NIC's tx process, so ``net.nic`` self time covers
-#: both the adapter queue and the CSMA/CD machinery it drives.
-_SUBSYSTEM_RULES = (
-    (re.compile(r"^nic\d+-tx$"), "net.nic"),
-    (re.compile(r"^tcp-"), "transport.tcp"),
-    (re.compile(r"^pvmd\d+-"), "pvm.daemon"),
-    (re.compile(r"^pvm-dispatch$"), "pvm.vm"),
-    (re.compile(r"^port\d+$"), "net.switched"),
-    (re.compile(r"-rank\d+$"), "fx.program"),
-)
-
-
-def subsystem_of(process_name: str) -> str:
-    """The subsystem bucket a simulation process's wall time belongs to."""
-    for pattern, subsystem in _SUBSYSTEM_RULES:
-        if pattern.search(process_name):
-            return subsystem
-    return "des.other"
 
 
 class Span:
@@ -127,7 +101,7 @@ class Span:
 
 
 class Telemetry:
-    """Counters, gauges, spans, and wall accounting for one (or more) runs.
+    """Counters, gauges, and spans for one (or more) runs.
 
     Parameters
     ----------
@@ -162,8 +136,6 @@ class Telemetry:
         self.series: Dict[tuple, List[tuple]] = {}
         self._n_samples = 0
         self.spans: List[Span] = []
-        #: process name -> [resumes, wall seconds] (profiler input).
-        self.wall_by_process: Dict[str, List[float]] = {}
         self.wall_epoch = self.clock()
         self._next_span_id = 0
         self._open_by_track: Dict[str, List[Span]] = {}
@@ -394,48 +366,12 @@ class Telemetry:
         self._open_by_subject.clear()
         self._attempts.clear()
 
-    def wall_account(self, process_name: str, seconds: float) -> None:
-        """Attribute one process resume's wall time to its process."""
-        entry = self.wall_by_process.get(process_name)
-        if entry is None:
-            self.wall_by_process[process_name] = [1, seconds]
-        else:
-            entry[0] += 1
-            entry[1] += seconds
-
     # -- aggregation ---------------------------------------------------
-    def wall_by_subsystem(self) -> Dict[str, List[float]]:
-        """``wall_by_process`` folded through :func:`subsystem_of`."""
-        out: Dict[str, List[float]] = {}
-        for name, (calls, seconds) in self.wall_by_process.items():
-            bucket = out.setdefault(subsystem_of(name), [0, 0.0])
-            bucket[0] += calls
-            bucket[1] += seconds
-        return out
-
     def spans_by_category(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for span in self.spans:
             out[span.category] = out.get(span.category, 0) + 1
         return out
-
-    def merge_from(self, other: "Telemetry") -> None:
-        """Fold another instance's counters/gauges/wall into this one.
-
-        Spans are not merged (their sim timelines are per-run); use a
-        shared instance when one Chrome trace should cover several runs.
-        """
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, value in other.gauges.items():
-            self.gauge_max(name, value)
-        for name, (calls, seconds) in other.wall_by_process.items():
-            entry = self.wall_by_process.setdefault(name, [0, 0.0])
-            entry[0] += calls
-            entry[1] += seconds
-        for key, points in other.series.items():
-            self.series.setdefault(key, []).extend(points)
-            self._n_samples += len(points)
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"<Telemetry {self.label!r} spans={len(self.spans)} "

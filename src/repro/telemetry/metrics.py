@@ -1,21 +1,22 @@
 """Per-run metrics snapshots (``metrics.json``).
 
 A metrics snapshot is the flat, diffable summary of one instrumented
-run: every counter and gauge, wall self time per subsystem, and a span
-census.  ``repro profile --emit-metrics`` writes one next to the Chrome
-trace; the CI profile-smoke job archives it so the perf trajectory of
-the simulator itself is measured, not guessed.
+run: every counter and gauge, and a span census.  ``repro profile
+--emit-metrics`` writes one next to the Chrome trace; the CI
+profile-smoke job archives it so the perf trajectory of the simulator
+itself is measured, not guessed.
 
 Schema (``METRICS_SCHEMA_VERSION``)
 -----------------------------------
-``{"schema": 1, "meta": {...}, "counters": {...}, "gauges": {...},
-"wall": {"by_subsystem": {...}, "by_process": {...}},
-"spans": {"count": N, "open": N, "by_category": {...}}}``
+``{"schema": 2, "label": "...", "meta": {...}, "counters": {...},
+"gauges": {...}, "spans": {"count": N, "open": N, "by_category": {...}}}``
 
 ``meta`` carries whatever run identification the caller supplies
-(program, scale, seed, wall seconds, sim duration, packets, ...) plus a
-``reconciliation`` section when the caller cross-checks telemetry
-counters against ground-truth ``BusStats``/``NicStats``.
+(program, scale, seed, wall seconds, sim duration, packets, ...);
+``repro profile`` adds its per-module ``samples``, the observed run's
+wall time, and a ``reconciliation`` section when the caller
+cross-checks telemetry counters against ground-truth
+``BusStats``/``NicStats``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import Telemetry
 
 __all__ = ["METRICS_SCHEMA_VERSION", "metrics_snapshot", "write_metrics"]
 
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 def _rounded(mapping: Dict[str, float]) -> Dict[str, float]:
@@ -41,24 +42,12 @@ def _rounded(mapping: Dict[str, float]) -> Dict[str, float]:
 
 def metrics_snapshot(tel: Telemetry, **meta) -> dict:
     """The snapshot document for one telemetry instance."""
-    wall_subsystem = {
-        name: {"calls": int(calls), "seconds": round(seconds, 9)}
-        for name, (calls, seconds) in sorted(tel.wall_by_subsystem().items())
-    }
-    wall_process = {
-        name: {"calls": int(calls), "seconds": round(seconds, 9)}
-        for name, (calls, seconds) in sorted(tel.wall_by_process.items())
-    }
     return {
         "schema": METRICS_SCHEMA_VERSION,
         "label": tel.label,
         "meta": meta,
         "counters": _rounded(tel.counters),
         "gauges": _rounded(tel.gauges),
-        "wall": {
-            "by_subsystem": wall_subsystem,
-            "by_process": wall_process,
-        },
         "spans": {
             "count": len(tel.spans),
             "open": len(tel.open_spans()),

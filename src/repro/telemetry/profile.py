@@ -1,44 +1,78 @@
-"""Wall-clock profiling of instrumented runs (``repro profile``).
+"""Sampling profiles of measured runs (``repro profile``).
 
-:func:`profile_program` reproduces one measured run under a private
-:class:`~repro.telemetry.Telemetry` instance and keeps the cluster
-around, so the result can (a) break the run's wall time down per
-subsystem from the per-process resume accounting, and (b) reconcile the
-telemetry counters against the ground-truth ``BusStats``/``NicStats``
-ledgers — if instrumentation ever drifts from the simulation it claims
-to observe, :meth:`ProfileResult.reconcile` says exactly where.
-
-Self time is attributed where the Python frames actually run: the
-shared bus's CSMA/CD procedure executes inside the owning NIC's tx
-process (``yield from``), so its cost lands in ``net.nic``; the
-``des.engine`` row is the remainder of the run's wall time spent in
-heap management and event dispatch outside any process resume.
+:func:`profile_program` runs one measured program twice.  The sampled
+run has no observer attached, so it costs what any run costs; it gives
+the wall time and :func:`sample_modules`'s table.  The observed run
+carries a private :class:`~repro.telemetry.Telemetry` and keeps the
+cluster, so :meth:`ProfileResult.reconcile` can check its counters
+against the ground-truth ``BusStats``/``NicStats`` ledgers.  Observers
+create no events, so both runs must capture the same trace.
 """
 
 from __future__ import annotations
 
+import signal
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .core import Telemetry
 
-__all__ = ["ProfileResult", "profile_program", "format_profile"]
+__all__ = ["SAMPLE_INTERVAL", "ProfileResult", "sample_modules",
+           "profile_program", "format_profile"]
+
+#: CPU seconds between two samples (``ITIMER_PROF``).
+SAMPLE_INTERVAL = 0.005
+
+
+def sample_modules(fn: Callable, *args,
+                   **kwargs) -> Tuple[Any, Dict[str, int]]:
+    """``fn(*args, **kwargs)`` and its ``SIGPROF`` samples, filed under
+    the innermost ``repro`` module among ``fn``'s frames (less the
+    ``repro.`` prefix), else ``other``.  Call from the main thread; the
+    timer and the previous handler are restored however ``fn`` exits."""
+    samples: Dict[str, int] = {}
+    sampler = sys._getframe()
+
+    def on_sample(signum, frame) -> None:
+        module = "other"
+        while frame is not None and frame is not sampler:
+            name = frame.f_globals.get("__name__", "")
+            if name.startswith("repro."):
+                module = name[len("repro."):]
+                break
+            frame = frame.f_back
+        samples[module] = samples.get(module, 0) + 1
+
+    previous = signal.signal(signal.SIGPROF, on_sample)
+    signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL, SAMPLE_INTERVAL)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return result, samples
 
 
 @dataclass
 class ProfileResult:
-    """One profiled run: the trace, its telemetry, and the testbed."""
+    """The sampled run's wall time and samples; the rest is the observed
+    run's."""
 
     name: str
     scale: str
     seed: int
     trace: object          # PacketTrace
     telemetry: Telemetry
-    wall_seconds: float
+    wall_seconds: float    # the sampled run
+    observed_wall_seconds: float
+    samples: Dict[str, int]
     cluster: object        # FxCluster (kept for reconciliation)
 
     @property
     def events_popped(self) -> int:
+        """The observed run's count: observers create no events."""
         return int(self.telemetry.counters.get("des.events_popped", 0))
 
     @property
@@ -47,20 +81,11 @@ class ProfileResult:
             return 0.0
         return self.events_popped / self.wall_seconds
 
-    def subsystem_rows(self) -> List[Tuple[str, int, float, float]]:
-        """(subsystem, resumes, self seconds, share-of-run) rows, plus a
-        ``des.engine`` remainder row, sorted by descending self time."""
-        rows = []
-        accounted = 0.0
-        for subsystem, (calls, seconds) in self.telemetry.wall_by_subsystem().items():
-            rows.append((subsystem, int(calls), seconds))
-            accounted += seconds
-        engine = max(0.0, self.wall_seconds - accounted)
-        rows.append(("des.engine", self.events_popped, engine))
-        rows.sort(key=lambda r: r[2], reverse=True)
-        total = self.wall_seconds if self.wall_seconds > 0 else 1.0
-        return [(name, calls, seconds, seconds / total)
-                for name, calls, seconds in rows]
+    def module_rows(self) -> List[Tuple[str, int, float]]:
+        """(module, samples, share) rows, most sampled first."""
+        total = sum(self.samples.values())
+        rows = sorted(self.samples.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [(module, n, n / total) for module, n in rows]
 
     def reconcile(self) -> Dict[str, dict]:
         """Telemetry counters vs. the simulation's own ledgers.
@@ -117,44 +142,41 @@ def profile_program(
     nprocs: int = 4,
     iterations: Optional[int] = None,
     faults=None,
-    telemetry: Optional[Telemetry] = None,
 ) -> ProfileResult:
-    """Run one measured program under telemetry and return the profile.
+    """Profile one measured program: a sampled run, then an observed one.
 
-    Mirrors :func:`repro.programs.run_measured`'s testbed construction
-    but keeps the cluster, so counters can be reconciled against the
-    simulation's own statistics.  Imports lazily — telemetry sits below
-    the simulation packages in the layering.
+    Both are :func:`repro.programs.run_measured` runs; the observed one
+    keeps its cluster for :meth:`ProfileResult.reconcile`.  Raises
+    ``RuntimeError`` if the two traces differ.  Imports lazily —
+    telemetry sits below the simulation packages in the layering.
     """
-    from ..fx import FxCluster, FxRuntime
-    from ..programs import make_program
-    from ..programs.calibration import ITERATIONS, work_model_for
+    from ..capture import trace_digest
+    from ..programs import run_measured
 
-    if iterations is None:
-        try:
-            iterations = ITERATIONS[name][scale]
-        except KeyError:
-            raise KeyError(
-                f"unknown program/scale {name!r}/{scale!r}"
-            ) from None
-    tel = telemetry if telemetry is not None else Telemetry(
-        label=f"{name}/{scale}/seed{seed}"
-    )
-    program = make_program(name)
-    cluster = FxCluster(n_machines=nprocs + 1, seed=seed, faults=faults,
-                        telemetry=tel)
-    runtime = FxRuntime(cluster, nprocs, work_model_for(name, seed=seed))
+    run = partial(run_measured, name, scale=scale, nprocs=nprocs, seed=seed,
+                  iterations=iterations, faults=faults)
+    tel = Telemetry(label=f"{name}/{scale}/seed{seed}")
     wall_start = tel.clock()
-    trace = runtime.execute(program, iterations)
+    sampled, samples = sample_modules(run, sanitize=False, telemetry=False)
     wall = tel.clock() - wall_start
-    tel.gauge("run.wall_seconds", wall)
+    detail: dict = {}
+    wall_start = tel.clock()
+    trace = run(telemetry=tel, detail=detail)
+    observed_wall = tel.clock() - wall_start
+    cluster = detail["cluster"]
+    if trace_digest(trace) != trace_digest(sampled):
+        raise RuntimeError(f"profile {name}/{scale}/seed{seed}: the observed "
+                           "run's trace differs from the sampled run's")
+    tel.gauge("run.wall_seconds", observed_wall)
     tel.gauge("run.sim_seconds", cluster.sim.now)
     return ProfileResult(name=name, scale=scale, seed=seed, trace=trace,
-                         telemetry=tel, wall_seconds=wall, cluster=cluster)
+                         telemetry=tel, wall_seconds=wall,
+                         observed_wall_seconds=observed_wall,
+                         samples=samples, cluster=cluster)
 
 
 def format_profile(result: ProfileResult, top_counters: int = 12) -> str:
-    """The ``repro profile`` report: hot-path table + headline numbers."""
+    """The ``repro profile`` report: module table + headline numbers."""
     tel = result.telemetry
     lines = [
         f"== profile: {result.name} scale={result.scale} "
@@ -164,15 +186,15 @@ def format_profile(result: ProfileResult, top_counters: int = 12) -> str:
         f"events popped:    {result.events_popped:10d}",
         f"events/sec:       {result.events_per_second:10.0f}",
         f"packets captured: {len(result.trace):10d}",
+        f"samples:          {sum(result.samples.values()):10d}",
+        f"telemetry skew:   "
+        f"{result.observed_wall_seconds / result.wall_seconds:10.2f}x",
         "",
-        f"{'subsystem':<16} {'resumes':>9} {'self ms':>10} {'share':>7}",
-        "-" * 46,
+        f"{'module':<20} {'samples':>8} {'share':>7}",
+        "-" * 37,
     ]
-    for subsystem, calls, seconds, share in result.subsystem_rows():
-        lines.append(
-            f"{subsystem:<16} {calls:>9d} {seconds * 1e3:>10.2f} "
-            f"{share:>6.1%}"
-        )
+    for module, count, share in result.module_rows():
+        lines.append(f"{module:<20} {count:>8d} {share:>6.1%}")
     lines.append("")
     lines.append("top counters:")
     by_value = sorted(tel.counters.items(), key=lambda kv: (-kv[1], kv[0]))

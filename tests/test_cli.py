@@ -12,6 +12,7 @@ import pytest
 
 from repro.__main__ import main, trace_batch
 from repro.capture import load_npz
+from repro.des import Simulator
 from repro.harness import EXPERIMENTS, TraceKey, TraceStore, run_experiment
 from repro.harness import runner
 from repro.harness.sweep import pool_stats
@@ -177,8 +178,6 @@ class TestTraceCacheChoice:
         """A disk cache holding fig8's trace, named by REPRO_TRACE_CACHE."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(runner, "_STORE", runner._STORE)
-        for name in ("REPRO_TELEMETRY", "REPRO_SANITIZE"):
-            monkeypatch.setenv(name, "0")  # restored after --flags set it
         warm = tmp_path / "warm"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["cache", "warm", "--scale", "smoke",
@@ -208,6 +207,21 @@ class TestTraceCacheChoice:
         tel = process_telemetry()
         if "--telemetry" in flags or env == "REPRO_TELEMETRY":
             assert tel.counters["des.events_popped"] > 0 and tel.spans
+
+    def test_observer_flags_end_with_the_command(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """``--telemetry``/``--sanitize`` observe the command's own
+        simulators, not those the calling process builds afterwards."""
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        try:
+            assert main(["trace", "sor", "--scale", "smoke", "--no-cache",
+                         "--telemetry", "--sanitize",
+                         "--out", str(tmp_path / "t.npz")]) == 0
+        finally:
+            disable_process_telemetry()
+        sim = Simulator()
+        assert sim.telemetry is None and sim.sanitizer is None
 
     def test_env_var_chooses_the_disk_cache(self, tmp_path, monkeypatch,
                                             capsys):

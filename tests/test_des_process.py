@@ -273,20 +273,6 @@ class TestInterrupt:
         assert out == ["die"]
 
 
-def test_active_process_tracking(sim):
-    seen = []
-
-    def worker(sim):
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-        seen.append(sim.active_process)
-
-    proc = sim.process(worker(sim))
-    sim.run()
-    assert seen == [proc, proc]
-    assert sim.active_process is None
-
-
 def test_two_processes_interleave(sim):
     log = []
 

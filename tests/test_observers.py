@@ -253,9 +253,8 @@ class TestProbeContract:
         assert sim.subscribers == (monitor,)
 
     def test_simulation_packages_reach_observers_only_by_probe(self):
-        """``.sanitizer``, ``.telemetry`` and ``.monitor`` are read in two
-        places only: the attach code in ``Simulator.__init__`` and the
-        wall-time accounting around ``Process`` resumes."""
+        """``.sanitizer``, ``.telemetry`` and ``.monitor`` are read in one
+        place only: the attach code in ``Simulator.__init__``."""
         def reads(tree):
             return [node for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
@@ -274,8 +273,4 @@ class TestProbeContract:
                             in_functions.add(id(node))
                 if any(id(node) not in in_functions for node in reads(tree)):
                     found.add(f"{pkg}/{path.name}:<outside functions>")
-        assert found == {
-            "des/simulator.py:__init__",
-            "des/process.py:__init__",
-            "des/process.py:_resume_timed",
-        }
+        assert found == {"des/simulator.py:__init__"}

@@ -208,19 +208,12 @@ class TestSanitizedRunsAreByteIdentical:
         assert len(trace) > 0
 
     def test_cli_sanitized_trace(self, tmp_path, capsys, monkeypatch):
-        import os
-
         from repro.__main__ import main
 
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         out = tmp_path / "sor.npz"
-        try:
-            rc = main(["trace", "sor", "--scale", "smoke", "--no-cache",
-                       "--sanitize", "--out", str(out)])
-        finally:
-            # --sanitize exports REPRO_SANITIZE for worker processes;
-            # keep the test process clean for the rest of the session.
-            os.environ.pop("REPRO_SANITIZE", None)
+        rc = main(["trace", "sor", "--scale", "smoke", "--no-cache",
+                   "--sanitize", "--out", str(out)])
         assert rc == 0
         assert out.exists()
         assert "sha256=" in capsys.readouterr().out

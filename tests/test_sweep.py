@@ -13,6 +13,7 @@ from repro.harness.sweep import (
     parse_grid,
     pool_stats,
     run_sweep,
+    shared_pool,
     shutdown_pool,
 )
 
@@ -233,6 +234,25 @@ class TestPersistentPool:
         run_sweep("program=hist scale=smoke seed=0,1", jobs=3, store=store)
         stats = pool_stats()
         assert stats["jobs"] == 3 and stats["started"] == started + 1
+
+
+    def test_workers_attach_no_telemetry(self, monkeypatch):
+        """Counters in a worker could not reach the parent, so a pool
+        forked under ``REPRO_TELEMETRY=1`` simulates unobserved; the
+        sanitizer still rides along, since it can fail a key."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        shutdown_pool()
+        observers = shared_pool(2).submit(_worker_observers).result(timeout=60)
+        assert observers == (False, True)
+
+
+def _worker_observers():
+    """(telemetry attached, sanitizer attached) for a plain Simulator."""
+    from repro.des import Simulator
+
+    sim = Simulator()
+    return sim.telemetry is not None, sim.sanitizer is not None
 
 
 class TestWarmFacade:

@@ -6,7 +6,10 @@ ones — and its counters must reconcile exactly with the simulation's own
 ``BusStats``/``NicStats``/TCP ledgers.
 """
 
+import importlib.util
 import json
+import signal
+import time
 
 import pytest
 
@@ -23,11 +26,11 @@ from repro.telemetry import (
     metrics_snapshot,
     process_telemetry,
     profile_program,
-    subsystem_of,
     validate_chrome_trace,
     write_chrome,
     write_metrics,
 )
+from repro.telemetry.profile import sample_modules
 
 
 class FakeClock:
@@ -114,42 +117,6 @@ class TestSpans:
         assert tel.counters["telemetry.spans_dropped"] == 3
 
 
-class TestWallAccounting:
-    def test_wall_account_aggregates_per_process(self):
-        tel = Telemetry(clock=FakeClock())
-        tel.wall_account("nic0-tx", 0.25)
-        tel.wall_account("nic0-tx", 0.25)
-        tel.wall_account("sor-rank0", 1.0)
-        assert tel.wall_by_process["nic0-tx"] == [2, 0.5]
-        by_sub = tel.wall_by_subsystem()
-        assert by_sub["net.nic"] == [2, 0.5]
-        assert by_sub["fx.program"] == [1, 1.0]
-
-    def test_subsystem_rules(self):
-        assert subsystem_of("nic3-tx") == "net.nic"
-        assert subsystem_of("tcp-sender") == "transport.tcp"
-        assert subsystem_of("tcp-rto") == "transport.tcp"
-        assert subsystem_of("pvmd2-rx") == "pvm.daemon"
-        assert subsystem_of("pvm-dispatch") == "pvm.vm"
-        assert subsystem_of("port4") == "net.switched"
-        assert subsystem_of("sor-rank2") == "fx.program"
-        assert subsystem_of("anything-else") == "des.other"
-
-
-class TestMerge:
-    def test_merge_folds_counters_gauges_and_wall(self):
-        a = Telemetry(clock=FakeClock())
-        b = Telemetry(clock=FakeClock())
-        a.count("x", 2)
-        b.count("x", 3)
-        b.gauge_max("depth", 9)
-        b.wall_account("nic0-tx", 0.5)
-        a.merge_from(b)
-        assert a.counters["x"] == 5
-        assert a.gauges["depth"] == 9
-        assert a.wall_by_process["nic0-tx"] == [1, 0.5]
-
-
 class TestProcessSingleton:
     def test_disabled_by_default(self):
         assert process_telemetry() is None
@@ -196,17 +163,6 @@ class TestSimulatorAttachment:
         sim.process(ticker(), name="ticker")
         sim.run()
         assert sim.telemetry.counters["des.events_popped"] > 0
-
-    def test_wall_time_attributed_to_process_names(self):
-        tel = Telemetry(clock=FakeClock())
-        sim = Simulator(telemetry=tel)
-
-        def ticker():
-            yield sim.timeout(1.0)
-
-        sim.process(ticker(), name="nic0-tx")
-        sim.run()
-        assert tel.wall_by_process["nic0-tx"][0] >= 1
 
 
 # -- determinism (the load-bearing contract) --------------------------
@@ -282,10 +238,10 @@ class TestMetricsExport:
     def test_snapshot_structure(self):
         result = profile_program("sor", scale="smoke")
         snap = metrics_snapshot(result.telemetry, program="sor")
-        assert snap["schema"] == 1
+        assert snap["schema"] == 2
         assert snap["meta"]["program"] == "sor"
         assert snap["counters"]["des.events_popped"] > 0
-        assert "net.nic" in snap["wall"]["by_subsystem"]
+        assert "wall" not in snap
         assert snap["spans"]["count"] > 0
         assert snap["spans"]["open"] == 0
 
@@ -298,6 +254,47 @@ class TestMetricsExport:
 
 
 # -- profiling --------------------------------------------------------
+
+#: A busy loop compiled into a namespace named like a ``repro`` module.
+_FAKE_MODULE = """
+def spin(cpu_seconds, clock):
+    end = clock() + cpu_seconds
+    while clock() < end:
+        pass
+"""
+
+
+def _fake_repro_module():
+    namespace = {"__name__": "repro.fake"}
+    exec(compile(_FAKE_MODULE, "<repro.fake>", "exec"), namespace)
+    return namespace["spin"]
+
+
+class TestSampler:
+    def test_samples_land_in_the_innermost_repro_module(self):
+        spin = _fake_repro_module()
+        _, samples = sample_modules(spin, 0.3, time.process_time)
+        assert set(samples) == {"fake"}
+        assert samples["fake"] >= 20
+
+    def test_timer_and_handler_restored(self):
+        previous = signal.getsignal(signal.SIGPROF)
+        assert sample_modules(sum, [1, 2]) == (3, {})
+        assert signal.getsignal(signal.SIGPROF) is previous
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_timer_and_handler_restored_when_the_run_raises(self):
+        previous = signal.getsignal(signal.SIGPROF)
+        with pytest.raises(ZeroDivisionError):
+            sample_modules(lambda: 1 / 0)
+        assert signal.getsignal(signal.SIGPROF) is previous
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def airshed_profile():
+    """AIRSHED smoke: long enough (about 0.45 s of CPU) to sample."""
+    return profile_program("airshed", scale="smoke")
 
 
 class TestProfileProgram:
@@ -319,25 +316,29 @@ class TestProfileProgram:
             for p in (conn.forward, conn.reverse)
         )
 
-    def test_subsystem_rows_share_run_wall_time(self):
-        result = profile_program("sor", scale="smoke")
-        rows = result.subsystem_rows()
-        names = [r[0] for r in rows]
-        assert "des.engine" in names and "net.nic" in names
-        assert sum(r[3] for r in rows) <= 1.0 + 1e-9
-        assert all(r[2] >= 0 for r in rows)
+    def test_subsystem_rows_share_run_wall_time(self, airshed_profile):
+        """The module rows split the sampled (unobserved) run's samples."""
+        rows = airshed_profile.module_rows()
+        assert sum(share for _, _, share in rows) == pytest.approx(1.0)
+        assert sum(n for _, n, _ in rows) == sum(
+            airshed_profile.samples.values())
+        for module, _, _ in rows:
+            assert module == "other" or importlib.util.find_spec(
+                f"repro.{module}") is not None, module
+            assert not module.startswith("telemetry."), module
+        assert airshed_profile.samples["net.medium"] > 0
 
     def test_events_per_second_positive(self):
         result = profile_program("sor", scale="smoke")
         assert result.events_popped > 0
         assert result.events_per_second > 0
 
-    def test_format_profile_renders_report(self):
-        result = profile_program("sor", scale="smoke")
-        report = format_profile(result)
+    def test_format_profile_renders_report(self, airshed_profile):
+        report = format_profile(airshed_profile)
         assert "events popped" in report
-        assert "net.nic" in report
-        assert "reconciliation" in report
+        assert "telemetry skew" in report
+        assert "net.medium" in report
+        assert "reconciliation: 10/10" in report
 
     def test_unknown_scale_raises(self):
         with pytest.raises(KeyError):
@@ -367,11 +368,20 @@ class TestProfileCli:
         assert validate_chrome_trace(json.loads(chrome.read_text())) == []
         doc = json.loads(metrics.read_text())
         assert all(c["ok"] for c in doc["meta"]["reconciliation"].values())
+        assert doc["schema"] == 2
+        assert doc["meta"]["observed_wall_seconds"] > 0
 
     def test_profile_unknown_program(self, capsys):
         from repro.__main__ import main
 
         assert main(["profile", "nope", "--scale", "smoke"]) == 2
+
+    def test_profile_rejects_a_one_machine_cluster(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["profile", "sor", "--scale", "smoke",
+                     "--nprocs", "0"]) == 2
+        assert "at least 2 machines" in capsys.readouterr().err
 
     def test_trace_with_telemetry_prints_summary(self, tmp_path, capsys):
         from repro.__main__ import main
