@@ -52,14 +52,17 @@ silently corrupting figures.  It implies ``--no-cache`` so traces are
 actually re-simulated under observation, in this process; the traces
 produced stay byte-identical to unsanitized runs.
 
-``--telemetry`` attaches the process-wide telemetry observer
-(:mod:`repro.telemetry`) to every simulator the command builds and
-prints a counter summary when it finishes.  Like ``--sanitize`` it
-implies ``--no-cache`` for ``run``/``all`` (cached traces involve no
-simulation to observe, and pool workers' counters would never reach
-this process) and leaves trace bytes untouched.  ``REPRO_SANITIZE`` or
-``REPRO_TELEMETRY`` set in the environment count as the flags; the
-flags set them until the command returns.
+``--telemetry`` (on ``run``, ``all`` and ``trace``, the commands that
+simulate in this process) installs the process-wide telemetry observer
+(:mod:`repro.telemetry`), which every simulator the command builds
+attaches, and prints a counter summary when it finishes.  Like
+``--sanitize`` it implies ``--no-cache`` for ``run``/``all`` (cached
+traces involve no simulation to observe, and pool workers' counters
+would never reach this process) and leaves trace bytes untouched.
+``REPRO_SANITIZE`` set in the environment counts as ``--sanitize``.
+``--faults``, ``--sanitize`` and ``--telemetry`` hold for one command:
+``main()`` puts back the fault plan, ``REPRO_SANITIZE`` and telemetry
+instance it found once the command returns.
 ``repro profile`` is the dedicated front-end: a sampling profile of an
 unobserved run per ``repro`` module, beside the counters of a run under
 a private telemetry instance, with optional Chrome-trace and
@@ -73,7 +76,10 @@ import json
 import os
 import sys
 
-from .harness import ABLATIONS, EXPERIMENTS, export_artifact
+from .harness import (ABLATIONS, EXPERIMENTS, default_faults,
+                      export_artifact, set_default_faults)
+from .telemetry import (disable_process_telemetry, enable_process_telemetry,
+                        process_telemetry)
 
 ALL_RUNNERS = {**EXPERIMENTS, **ABLATIONS}
 
@@ -144,12 +150,11 @@ def _produce_batch(exp_ids, args) -> None:
     the observers are.  The pool is shut down once the batch is done."""
     from .harness import prefetch_traces
     from .harness.sweep import shutdown_pool
-    from .telemetry import TELEMETRY_ENV_VAR
 
     _parse_faults(args)
     _apply_sanitize(args)
     _apply_telemetry(args)
-    if _env_on("REPRO_SANITIZE") or _env_on(TELEMETRY_ENV_VAR):
+    if _env_on("REPRO_SANITIZE") or process_telemetry() is not None:
         args.no_cache = True
     _store(args)
     batch = trace_batch(exp_ids, args.scale, args.seed)
@@ -194,8 +199,6 @@ def _parse_faults(args):
     except ValueError as exc:
         print(f"bad --faults spec: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    from .harness import set_default_faults
-
     set_default_faults(plan)
     return plan
 
@@ -209,21 +212,15 @@ def _apply_sanitize(args) -> None:
 
 
 def _apply_telemetry(args) -> None:
-    """Honor ``--telemetry`` (and the ``REPRO_TELEMETRY`` environment):
-    attach the process-wide telemetry instance to every simulator this
-    process builds; trace bytes are unchanged."""
-    from .telemetry import TELEMETRY_ENV_VAR, enable_process_telemetry
-
-    if getattr(args, "telemetry", False):
-        os.environ[TELEMETRY_ENV_VAR] = "1"
-    if _env_on(TELEMETRY_ENV_VAR):
+    """Honor ``--telemetry``: install the process-wide telemetry
+    instance, which every simulator this command builds attaches; trace
+    bytes are unchanged."""
+    if args.telemetry:
         enable_process_telemetry()
 
 
 def _print_telemetry_summary(top: int = 10) -> None:
     """Counter summary for ``--telemetry`` runs (no-op when disabled)."""
-    from .telemetry import process_telemetry
-
     tel = process_telemetry()
     if tel is None or not tel.counters:
         return
@@ -277,7 +274,6 @@ def _cmd_sweep(args) -> int:
     from .harness.resilience import ChaosPlan, RetryPolicy, SweepJournal
     from .harness.sweep import GridError, parse_grid, run_sweep
 
-    _apply_telemetry(args)
     try:
         grid = parse_grid(args.tokens)
     except GridError as exc:
@@ -354,7 +350,6 @@ def _cmd_sweep(args) -> int:
     if args.manifest:
         path = result.write_manifest(args.manifest)
         print(f"[manifest -> {path}]")
-    _print_telemetry_summary()
     if result.interrupted:
         print(f"sweep interrupted at {stats['keys']} of "
               f"{stats['total_keys']} keys"
@@ -369,7 +364,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache_stats(args) -> int:
-    _apply_telemetry(args)
     store = _store(args)
     entries = store.disk_entries()
     total = sum(e["bytes"] for e in entries)
@@ -383,14 +377,6 @@ def _cmd_cache_stats(args) -> int:
         print(f"  {e['digest'][:12]}  schema={e.get('schema')}  "
               f"{e.get('packets', 0):>8} pkts  {tag}{extra}")
     print(f"this process: {store.stats.as_dict()}")
-    from .telemetry import process_telemetry
-
-    tel = process_telemetry()
-    if tel is not None:
-        cache_counters = {k.split(".", 1)[1]: int(v)
-                          for k, v in sorted(tel.counters.items())
-                          if k.startswith("cache.")}
-        print(f"telemetry cache counters: {cache_counters}")
     return 0
 
 
@@ -403,7 +389,6 @@ def _cmd_cache_clear(args) -> int:
 
 def _cmd_cache_scrub(args) -> int:
     """``repro cache scrub``: verify every npz against its sidecar sha."""
-    _apply_telemetry(args)
     store = _store(args)
     report = store.scrub(repair=args.repair)
     print(f"cache dir: {store.disk_dir}")
@@ -412,7 +397,6 @@ def _cmd_cache_scrub(args) -> int:
         print(f"  {entry.status:<9} {entry.digest[:16]}  {entry.detail}")
     for entry in report.orphans:
         print(f"  {entry.status:<9} {entry.digest[:16]}  {entry.detail}")
-    _print_telemetry_summary()
     unresolved = [e for e in report.corrupt if e.status != "repaired"]
     return 1 if unresolved else 0
 
@@ -421,7 +405,6 @@ def _cmd_cache_warm(args) -> int:
     from .harness.experiments import longest_first, trace_specs
     from .programs import PROGRAMS
 
-    _apply_telemetry(args)
     store = _store(args)
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -616,7 +599,8 @@ def _cmd_lint(args) -> int:
 
     paths = args.paths
     if not paths:
-        paths = [p for p in ("src", "benchmarks") if os.path.isdir(p)] or ["."]
+        paths = [p for p in ("src", "benchmarks", "bench")
+                 if os.path.isdir(p)] or ["."]
     try:
         select = args.select.split(",") if args.select else None
         ignore = args.ignore.split(",") if args.ignore else None
@@ -859,9 +843,6 @@ def main(argv=None) -> int:
                               "same file resumes")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress streaming progress on stderr")
-    p_sweep.add_argument("--telemetry", action="store_true",
-                         help="collect sweep/pool telemetry counters and "
-                              "print a summary")
     p_sweep.add_argument("--qmon-dir", metavar="DIR", default=None,
                          help="collect switch-queue manifests for "
                               "route=switched keys as DIR/<digest>.qmon.json")
@@ -921,9 +902,6 @@ def main(argv=None) -> int:
     def add_cache_common(p):
         p.add_argument("--dir", dest="cache_dir", metavar="DIR", default=None,
                        help=f"cache directory ({DEFAULT_CACHE_DIR})")
-        p.add_argument("--telemetry", action="store_true",
-                       help="mirror cache hit/miss/eviction counters into "
-                            "process telemetry and report them")
 
     p_stats = cache_sub.add_parser("stats", help="list cached traces and counters")
     add_cache_common(p_stats)
@@ -990,7 +968,8 @@ def main(argv=None) -> int:
         "lint", help="determinism & causality static analysis (simlint)"
     )
     p_lint.add_argument("paths", nargs="*",
-                        help="files or directories (default: src benchmarks)")
+                        help="files or directories (default: src "
+                             "benchmarks bench)")
     p_lint.add_argument("--select", metavar="RULES", default=None,
                         help="comma-separated rule IDs to run (default: all)")
     p_lint.add_argument("--ignore", metavar="RULES", default=None,
@@ -1051,16 +1030,20 @@ def main(argv=None) -> int:
     p_demo.set_defaults(fn=_cmd_faults_demo)
 
     args = parser.parse_args(argv)
-    # --sanitize/--telemetry set these for the one command only.
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_SANITIZE", "REPRO_TELEMETRY")}
+    # --faults/--sanitize/--telemetry hold for this one command only.
+    faults = default_faults()
+    sanitize = os.environ.get("REPRO_SANITIZE")
+    telemetry = process_telemetry()
     try:
         return args.fn(args)
     finally:
-        for name, value in saved.items():
-            os.environ.pop(name, None)
-            if value is not None:
-                os.environ[name] = value
+        set_default_faults(faults)
+        os.environ.pop("REPRO_SANITIZE", None)
+        if sanitize is not None:
+            os.environ["REPRO_SANITIZE"] = sanitize
+        disable_process_telemetry()
+        if telemetry is not None:
+            enable_process_telemetry(telemetry)
 
 
 if __name__ == "__main__":

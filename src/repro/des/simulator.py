@@ -64,10 +64,11 @@ class Simulator:
         ``docs/architecture.md``, "Telemetry & profiling").  Pass
         ``True`` for a private instance, an existing
         :class:`~repro.telemetry.Telemetry` to share one, or ``None``
-        (the default) to defer to ``REPRO_TELEMETRY`` — the environment
-        path attaches the *process-wide* instance so counters aggregate
-        across runs.  Telemetry observes only — instrumented runs are
-        byte-identical to uninstrumented ones.
+        (the default) for the *process-wide* instance
+        (:func:`~repro.telemetry.process_telemetry`) when one is
+        installed, so counters aggregate across runs.  Telemetry
+        observes only — instrumented runs are byte-identical to
+        uninstrumented ones.
     """
 
     def __init__(self, strict: bool = True, sanitize: Optional[bool] = None,
@@ -93,11 +94,11 @@ class Simulator:
             from ..simlint.sanitizer import SimSanitizer
 
             self.sanitizer = self.subscribe(SimSanitizer())
-        if telemetry is None and _env_flag("REPRO_TELEMETRY"):
+        if telemetry is None:
             # Imported lazily: telemetry is a layer above the core.
-            from ..telemetry import enable_process_telemetry
+            from ..telemetry import process_telemetry
 
-            telemetry = enable_process_telemetry()
+            telemetry = process_telemetry()
         elif telemetry is True:
             from ..telemetry import Telemetry
 

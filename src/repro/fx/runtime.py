@@ -61,8 +61,8 @@ class FxCluster:
     telemetry:
         Attach a :class:`~repro.telemetry.Telemetry` observer to the
         cluster's simulator (``True`` for a private instance, an
-        existing instance to share one); ``None`` defers to the
-        ``REPRO_TELEMETRY`` environment variable.  Instrumented runs
+        existing instance to share one); ``None`` attaches the
+        process-wide instance when one is installed.  Instrumented runs
         produce byte-identical traces.
     qmon:
         Attach observer-only per-port queue monitors to the switched

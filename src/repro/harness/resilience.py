@@ -23,8 +23,8 @@ into simulation state: the recovery layer retries, requeues, and
 replays work whose outputs are deterministic, so a sweep that survived
 three worker kills emits a manifest byte-identical to one that saw none.
 
-Telemetry counters: ``sweep.retries``, ``sweep.requeued``,
-``sweep.quarantined``, ``sweep.timeouts``, ``resume.replayed``.
+The sweep counts each recovery in ``SweepResult.resilience``:
+``retries``, ``requeued``, ``quarantined``, ``timeouts``, ``replayed``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import os
 from typing import Dict, Optional, Tuple
 
 from ..capture import PacketTrace
-from ..telemetry import maybe_count
 from .store import TraceStore
 
 __all__ = [
@@ -98,7 +97,6 @@ def get_trace(name: str, scale: str = "default", seed: int = 0,
     process-wide fault plan is set (:func:`set_default_faults`) it
     applies to every call without its own ``faults`` override.
     """
-    maybe_count("harness.get_trace")
     if _DEFAULT_FAULTS is not None and "faults" not in overrides:
         overrides["faults"] = _DEFAULT_FAULTS
     return _STORE.get(name, scale=scale, seed=seed, **overrides)
@@ -132,7 +130,6 @@ def prefetch_traces(specs, jobs: int = 1):
             overrides.setdefault("faults", _DEFAULT_FAULTS)
             patched.append((name, scale, seed, overrides))
         specs = patched
-    maybe_count("harness.prefetch")
     return run_sweep(specs, jobs=jobs, store=_STORE)
 
 

@@ -48,14 +48,12 @@ from ..atomic import write_atomic
 from ..capture import PacketTrace, load_npz, save_npz_atomic, trace_digest
 from ..faults import FaultPlan
 from ..programs import run_measured
-from ..telemetry import maybe_count
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceKey",
     "CacheStats",
     "TraceStore",
-    "WarmResult",
     "ScrubEntry",
     "ScrubReport",
 ]
@@ -173,22 +171,6 @@ class CacheStats:
             "quarantined": self.quarantined,
             "hit_rate": round(self.hit_rate, 4),
         }
-
-
-@dataclass
-class WarmResult:
-    """Outcome of one warmed cache entry."""
-
-    key: TraceKey
-    digest: str
-    trace_sha256: str
-    packets: int
-    produced: bool  # False when the entry was already cached
-    error: Optional[str] = None  # production failure, if any
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @dataclass
@@ -328,15 +310,12 @@ class TraceStore:
         if trace is not None:
             self._lru.move_to_end(key)
             self.stats.memory_hits += 1
-            maybe_count("cache.memory_hits")
             return trace
         trace = self._disk_load(key)
         if trace is not None:
             self.stats.disk_hits += 1
-            maybe_count("cache.disk_hits")
         else:
             self.stats.misses += 1
-            maybe_count("cache.misses")
             trace = run_measured(name, scale=scale, seed=seed, **overrides)
             self._disk_store(key, trace)
         self._insert(key, trace)
@@ -362,7 +341,6 @@ class TraceStore:
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
             self.stats.evictions += 1
-            maybe_count("cache.evictions")
 
     # -- disk layer ----------------------------------------------------
     def _disk_path(self, key: TraceKey) -> Optional[Path]:
@@ -401,7 +379,6 @@ class TraceStore:
                 return False  # racing writer already healed the entry
             path.rename(path.with_name(path.name + ".corrupt"))
             self.stats.quarantined += 1
-            maybe_count("cache.quarantined")
             return True
         except OSError:  # pragma: no cover - already renamed or gone
             return False
@@ -472,14 +449,10 @@ class TraceStore:
                     self.stats.disk_writes += 1
                     entry.status = "repaired"
                     report.repaired += 1
-                    maybe_count("cache.scrub.repaired")
                 except Exception as exc:  # noqa: BLE001 - per-entry
                     entry.detail = (f"{detail}; repair failed: "
                                     f"{type(exc).__name__}: {exc}")
             report.corrupt.append(entry)
-        maybe_count("cache.scrub.runs")
-        if report.corrupt:
-            maybe_count("cache.scrub.corrupt", len(report.corrupt))
         return report
 
     def _scrub_one(self, npz: Path):
@@ -516,7 +489,6 @@ class TraceStore:
              "overrides": dict(key.overrides)},
         )
         self.stats.disk_writes += 1
-        maybe_count("cache.disk_writes")
 
     # -- maintenance ---------------------------------------------------
     def clear(self, disk: bool = False) -> int:
@@ -554,7 +526,7 @@ class TraceStore:
         specs: Iterable[Tuple],
         jobs: int = 1,
         load: bool = False,
-    ) -> List[WarmResult]:
+    ) -> list:
         """Produce traces for ``specs`` in parallel, through the disk cache.
 
         Parameters
@@ -569,9 +541,10 @@ class TraceStore:
         load:
             Also pull every warmed trace into the memory layer.
 
-        Returns one :class:`WarmResult` per unique key, in spec order.
-        Workers inherit the DES's determinism, so the recorded
-        ``trace_sha256`` values are identical however the work is split.
+        Returns the sweep's :class:`~repro.harness.sweep.SweepEntry` for
+        each unique key, in spec order.  Workers inherit the DES's
+        determinism, so the recorded ``trace_sha256`` values are
+        identical however the work is split.
 
         This is a thin facade over the sweep engine
         (:func:`repro.harness.sweep.run_sweep`): requested keys are
@@ -583,14 +556,8 @@ class TraceStore:
         from .sweep import as_work_items, run_sweep
 
         keys = as_work_items(specs)
-        outcome = run_sweep(keys, jobs=jobs, store=self)
-        by_key = outcome.by_key()
-        results = [
-            WarmResult(key, entry.digest, entry.trace_sha256, entry.packets,
-                       entry.produced, entry.error)
-            for key, _overrides in keys
-            for entry in (by_key[key],)
-        ]
+        by_key = run_sweep(keys, jobs=jobs, store=self).by_key()
+        results = [by_key[key] for key, _overrides in keys]
         if load:
             for (key, overrides), result in zip(keys, results):
                 if result.ok:

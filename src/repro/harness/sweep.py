@@ -48,8 +48,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from ..atomic import write_atomic
 from ..capture import load_npz, trace_digest
-from ..telemetry import (TELEMETRY_ENV_VAR, Telemetry, maybe_count,
-                         disable_process_telemetry, process_telemetry)
+from ..telemetry import Telemetry, disable_process_telemetry
 from .resilience import (
     DEFAULT_RETRY,
     DRAIN_TIMEOUT,
@@ -363,7 +362,6 @@ def _worker_init() -> None:
         signal.signal(sig, signal.SIG_IGN)
     # A worker's counters could not reach the parent, so it attaches no
     # telemetry.  REPRO_SANITIZE stays: a worker's sanitizer can fail a key.
-    os.environ.pop(TELEMETRY_ENV_VAR, None)
     disable_process_telemetry()
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      name="exit-with-parent", daemon=True).start()
@@ -396,7 +394,6 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
         raise ValueError(f"a worker pool needs jobs >= 2, got {jobs}")
     if _POOL is not None and _POOL_JOBS == jobs:
         _POOL_STATS["reused"] += 1
-        maybe_count("sweep.pool.reused")
         return _POOL
     shutdown_pool()
     _POOL = ProcessPoolExecutor(jobs, mp_context=_pool_context(),
@@ -404,7 +401,6 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
     _POOL.submit(int).result()  # the first submit forks every worker
     _POOL_JOBS = jobs
     _POOL_STATS["started"] += 1
-    maybe_count("sweep.pool.started")
     if not _ATEXIT_REGISTERED:
         atexit.register(shutdown_pool)
         _ATEXIT_REGISTERED = True
@@ -435,7 +431,6 @@ def _replace_pool(jobs: int) -> ProcessPoolExecutor:
     """A fresh pool in place of one a dead worker broke."""
     _kill_pool()
     _POOL_STATS["respawns"] += 1
-    maybe_count("sweep.pool.respawns")
     return shared_pool(jobs)
 
 
@@ -828,7 +823,8 @@ def run_sweep(
     journal:
         :class:`~repro.harness.resilience.SweepJournal` making the sweep
         crash-safe: completed keys are replayed from the journal on a
-        rerun (``resume.replayed``) and every completion is fsync'd.
+        rerun (``resilience["replayed"]``) and every completion is
+        fsync'd.
     stop:
         A ``threading.Event``; once set the sweep dispatches nothing
         more, lets in-flight keys finish (at most
@@ -869,10 +865,6 @@ def run_sweep(
             "cache (chaos kills workers; there must be workers to kill)")
 
     t0 = _WALL()
-    tel = process_telemetry()
-    span = tel.begin("sweep", "sweep", "sweep") if tel is not None else None
-    maybe_count("sweep.runs")
-    maybe_count("sweep.keys", len(items))
 
     prog = SweepProgress(total=len(items))
     entries: Dict[TraceKey, SweepEntry] = {}
@@ -884,20 +876,17 @@ def run_sweep(
         prog.done += 1
         if entry.error is not None:
             prog.failed += 1
-            maybe_count("sweep.failed")
             if journal is not None:
                 journal.append({"event": "failed", "digest": entry.digest,
                                 "error": entry.error,
                                 "attempts": entry.attempts})
         elif entry.cache_hit and not entry.replayed:
             prog.hits += 1
-            maybe_count("sweep.cache_hits")
         else:
             if entry.replayed:
                 prog.replayed += 1
             else:
                 prog.produced += 1
-                maybe_count("sweep.produced")
             if journal is not None and not entry.replayed:
                 journal.append({
                     "event": "done", "digest": entry.digest,
@@ -915,18 +904,14 @@ def run_sweep(
         if kind == "retry":
             tallies["retries"] += 1
             prog.retries += 1
-            maybe_count("sweep.retries")
         elif kind == "requeue":
             tallies["requeued"] += 1
             prog.requeued += 1
-            maybe_count("sweep.requeued")
         elif kind == "timeout":
             tallies["timeouts"] += 1
-            maybe_count("sweep.timeouts")
         elif kind == "quarantine":
             tallies["quarantined"] += 1
             prog.quarantined += 1
-            maybe_count("sweep.quarantined")
         if journal is not None:
             journal.append(dict({"event": kind, "digest": ident}, **info))
 
@@ -948,7 +933,6 @@ def run_sweep(
         row = replayed_rows.get(digest)
         if row is not None:
             tallies["replayed"] += 1
-            maybe_count("resume.replayed")
             record(SweepEntry(
                 key=key, digest=digest,
                 trace_sha256=row.get("trace_sha256", ""),
@@ -996,7 +980,6 @@ def run_sweep(
         future = pool.submit(_run_task, (task, attempts[key], chaos_doc),
                              task_timeout)
         _POOL_STATS["tasks"] += 1
-        maybe_count("sweep.pool.tasks")
         return future
 
     def settle(item, future: Future) -> None:
@@ -1095,13 +1078,10 @@ def run_sweep(
     if interrupted and journal is not None:
         journal.append({"event": "interrupted", "done": len(ordered),
                         "total": len(items)})
-    result = SweepResult(
+    return SweepResult(
         entries=ordered, jobs=jobs, wall_seconds=_WALL() - t0,
         total_keys=len(items), interrupted=interrupted, resilience=tallies,
     )
-    if tel is not None and span is not None:
-        tel.end(span)
-    return result
 
 
 def _pooled_entry(store: TraceStore, key: TraceKey, outcome) -> SweepEntry:

@@ -118,8 +118,8 @@ def run_measured(
     telemetry:
         Attach a :class:`~repro.telemetry.Telemetry` observer to the
         run (``True`` for a private instance, or an existing instance to
-        share one).  Does not change the trace bytes; ``None`` defers to
-        ``REPRO_TELEMETRY``.
+        share one).  Does not change the trace bytes; ``None`` attaches
+        the process-wide instance when one is installed.
     route:
         A :class:`~repro.pvm.Route`, its string value, or "switched" —
         direct TCP carried over the switched fabric (implies

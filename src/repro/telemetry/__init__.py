@@ -2,12 +2,12 @@
 
 The paper's contribution is *measurement*; this package points the same
 lens at the simulation itself.  A :class:`Telemetry` instance attaches
-to a :class:`~repro.des.Simulator` (``Simulator(telemetry=True)``,
-``REPRO_TELEMETRY=1``, or ``--telemetry`` on the CLI) and every
-instrumented layer — DES core, shared bus, NICs, switch fabric, TCP,
-pvmd, Fx runtime, trace store — reports into it.  Disabled, each hook
-costs one attribute check; enabled, runs stay byte-identical (telemetry
-observes, never schedules).
+to a :class:`~repro.des.Simulator` (``Simulator(telemetry=True)``, or
+the process-wide instance that ``--telemetry`` installs for one CLI
+command) and every instrumented layer — DES core, shared bus, NICs,
+switch fabric, TCP, pvmd, Fx runtime — reports into it.  Disabled,
+each hook costs one attribute check; enabled, runs stay byte-identical
+(telemetry observes, never schedules).
 
 Exports: Chrome trace-event JSON (:func:`write_chrome`, opens in
 Perfetto / ``chrome://tracing`` with one track per host/NIC/pipe),
@@ -19,12 +19,10 @@ observed one.
 
 from .chrome import chrome_trace, validate_chrome_trace, write_chrome
 from .core import (
-    TELEMETRY_ENV_VAR,
     Span,
     Telemetry,
     disable_process_telemetry,
     enable_process_telemetry,
-    maybe_count,
     process_telemetry,
 )
 from .metrics import METRICS_SCHEMA_VERSION, metrics_snapshot, write_metrics
@@ -33,11 +31,9 @@ from .profile import ProfileResult, format_profile, profile_program
 __all__ = [
     "Telemetry",
     "Span",
-    "TELEMETRY_ENV_VAR",
     "process_telemetry",
     "enable_process_telemetry",
     "disable_process_telemetry",
-    "maybe_count",
     "chrome_trace",
     "write_chrome",
     "validate_chrome_trace",

@@ -19,7 +19,7 @@ Two kinds of measurement are collected:
   segment — is documented in ``docs/architecture.md``.
 * **counters / gauges** — monotone event counts (events popped, frames
   offered/delivered/dropped, collisions, backoff rounds, retransmits,
-  cache hits, bytes per connection) and last/max-value gauges.
+  bytes per connection) and last/max-value gauges.
 
 Wall-clock readings come from an injectable ``clock`` callable (default
 ``time.perf_counter``); they are recorded next to simulation state,
@@ -37,16 +37,10 @@ from typing import Any, Callable, Dict, List, Optional
 __all__ = [
     "Span",
     "Telemetry",
-    "TELEMETRY_ENV_VAR",
     "process_telemetry",
     "enable_process_telemetry",
     "disable_process_telemetry",
-    "maybe_count",
 ]
-
-#: Environment switch: set REPRO_TELEMETRY=1 to attach the process-wide
-#: telemetry instance to every simulator the process builds.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
 #: The wall clock used when none is injected.  Telemetry measures wall
 #: time by design; readings are recorded beside simulation state and
@@ -59,7 +53,7 @@ class Span:
     """One named interval on one track.
 
     ``sim_start``/``sim_end`` are simulation seconds (``None`` for
-    harness-level spans recorded outside a live simulation);
+    spans recorded outside a live simulation);
     ``wall_start``/``wall_end`` are wall seconds from the telemetry
     instance's clock.  ``parent_id`` is the span open on the same track
     when this one began (or the run root), giving the hierarchy
@@ -379,10 +373,11 @@ class Telemetry:
 
 
 # -- process-wide instance ------------------------------------------------
-#: The shared instance attached by ``REPRO_TELEMETRY=1`` / ``--telemetry``
-#: so counters aggregate across every simulator a process builds (the
-#: experiments harness runs many).  ``repro profile`` uses a private
-#: instance instead, so its spans cover exactly one run.
+#: The shared instance every ``Simulator()`` attaches while one is
+#: installed, so counters aggregate across every simulator a command
+#: builds (the experiments harness runs many).  ``--telemetry`` installs
+#: it for one command.  ``repro profile`` uses a private instance
+#: instead, so its spans cover exactly one run.
 _PROCESS_TELEMETRY: Optional[Telemetry] = None
 
 
@@ -406,15 +401,3 @@ def disable_process_telemetry() -> Optional[Telemetry]:
     global _PROCESS_TELEMETRY
     tel, _PROCESS_TELEMETRY = _PROCESS_TELEMETRY, None
     return tel
-
-
-def maybe_count(name: str, value: float = 1) -> None:
-    """Bump a process-wide counter iff process telemetry is enabled.
-
-    The disabled cost is one global read and a ``None`` check, so
-    harness-layer components (the trace store, ``get_trace``) call this
-    unconditionally.
-    """
-    tel = _PROCESS_TELEMETRY
-    if tel is not None:
-        tel.count(name, value)

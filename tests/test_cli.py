@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from repro.des import Simulator
 from repro.harness import EXPERIMENTS, TraceKey, TraceStore, run_experiment
 from repro.harness import runner
 from repro.harness.sweep import pool_stats
-from repro.telemetry import disable_process_telemetry, process_telemetry
+from repro.telemetry import process_telemetry
 
 
 def test_list_prints_all_experiments(capsys):
@@ -183,45 +184,69 @@ class TestTraceCacheChoice:
             assert main(["cache", "warm", "--scale", "smoke",
                          "--programs", "airshed", "--dir", str(warm)]) == 0
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(warm))
-        yield warm
-        disable_process_telemetry()
+        return warm
 
     @pytest.mark.parametrize("flags, env", [
         (["--no-cache"], None),
         (["--telemetry"], None),
         (["--sanitize"], None),
-        ([], "REPRO_TELEMETRY"),
         ([], "REPRO_SANITIZE"),
-    ], ids=["no-cache", "telemetry", "sanitize", "env-telemetry",
-            "env-sanitize"])
+    ], ids=["no-cache", "telemetry", "sanitize", "env-sanitize"])
     def test_unwarmed_runs_simulate_in_process(self, warm_env_cache, flags,
                                                env, monkeypatch, capsys):
         if env is not None:
             monkeypatch.setenv(env, "1")
         started = pool_stats()["started"]
         assert main(["run", "fig8", "--scale", "smoke"] + flags) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
         store = runner.trace_store()
         assert store.disk_dir is None and store.stats.misses == 1
         assert pool_stats()["started"] == started
-        tel = process_telemetry()
-        if "--telemetry" in flags or env == "REPRO_TELEMETRY":
-            assert tel.counters["des.events_popped"] > 0 and tel.spans
+        if "--telemetry" in flags:
+            summary = re.search(r"^telemetry: (\d+) counters, (\d+) spans$",
+                                out, re.MULTILINE)
+            assert summary and int(summary.group(2)) > 0
 
     def test_observer_flags_end_with_the_command(self, tmp_path,
                                                  monkeypatch, capsys):
         """``--telemetry``/``--sanitize`` observe the command's own
         simulators, not those the calling process builds afterwards."""
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        try:
-            assert main(["trace", "sor", "--scale", "smoke", "--no-cache",
-                         "--telemetry", "--sanitize",
-                         "--out", str(tmp_path / "t.npz")]) == 0
-        finally:
-            disable_process_telemetry()
+        assert main(["trace", "sor", "--scale", "smoke", "--no-cache",
+                     "--telemetry", "--sanitize",
+                     "--out", str(tmp_path / "t.npz")]) == 0
+        assert "telemetry:" in capsys.readouterr().out
+        assert process_telemetry() is None
         sim = Simulator()
         assert sim.telemetry is None and sim.sanitizer is None
+        assert main(["trace", "hist", "--scale", "smoke", "--no-cache",
+                     "--out", str(tmp_path / "h.npz")]) == 0
+        assert "telemetry:" not in capsys.readouterr().out
+
+    def test_fault_plan_ends_with_the_command(self, tmp_path, capsys):
+        """``--faults`` keys and simulates the command's own traces, not
+        those a later command in the same process produces."""
+        assert main(["trace", "sor", "--scale", "smoke", "--no-cache",
+                     "--faults", "loss=0.01,seed=1",
+                     "--out", str(tmp_path / "t.npz")]) == 0
+        assert "faults: " in capsys.readouterr().out
+        assert runner.default_faults() is None
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "program=sor scale=smoke seed=0"],
+        ["cache", "stats"], ["cache", "clear"], ["cache", "scrub"],
+        ["cache", "warm"],
+    ], ids=["sweep", "cache-stats", "cache-clear", "cache-scrub",
+            "cache-warm"])
+    def test_telemetry_flag_only_on_simulating_commands(self, command,
+                                                        capsys):
+        """The store, the sweep engine and the pool count what ``sweep``
+        and ``cache`` do, and those commands print the counts, so only
+        ``run``/``all``/``trace`` take ``--telemetry``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--telemetry"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --telemetry" in capsys.readouterr().err
 
     def test_env_var_chooses_the_disk_cache(self, tmp_path, monkeypatch,
                                             capsys):

@@ -628,33 +628,26 @@ class TestScrubCli:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry counters for the resilience layer
+# Recovery tallies for the resilience layer
 # ---------------------------------------------------------------------------
 
 
 class TestResilienceTelemetry:
     def test_counters_emitted(self, tmp_path):
-        from repro.telemetry import (disable_process_telemetry,
-                                     enable_process_telemetry,
-                                     process_telemetry)
-
-        enable_process_telemetry()
-        try:
-            store = TraceStore(disk_dir=tmp_path / "cache")
-            retry = RetryPolicy(max_attempts=2, backoff_base=0.001)
-            run_sweep("program=sor scale=smoke seed=0 nprocs=0", jobs=1,
-                      store=store, retry=retry)
-            journal = SweepJournal(tmp_path / "j.jsonl")
-            run_sweep("program=seq scale=smoke seed=0", jobs=1, store=store,
-                      journal=journal)
-            journal.close()
-            journal2 = SweepJournal(tmp_path / "j.jsonl")
-            run_sweep("program=seq scale=smoke seed=0", jobs=1, store=store,
-                      journal=journal2)
-            journal2.close()
-            counters = process_telemetry().counters
-            assert counters.get("sweep.retries", 0) >= 1
-            assert counters.get("sweep.quarantined", 0) >= 1
-            assert counters.get("resume.replayed", 0) >= 1
-        finally:
-            disable_process_telemetry()
+        """``SweepResult.resilience`` tallies retries, quarantines and
+        journal replays."""
+        store = TraceStore(disk_dir=tmp_path / "cache")
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.001)
+        failing = run_sweep("program=sor scale=smoke seed=0 nprocs=0",
+                            jobs=1, store=store, retry=retry)
+        assert failing.resilience["retries"] >= 1
+        assert failing.resilience["quarantined"] >= 1
+        journal = SweepJournal(tmp_path / "j.jsonl")
+        run_sweep("program=seq scale=smoke seed=0", jobs=1, store=store,
+                  journal=journal)
+        journal.close()
+        journal2 = SweepJournal(tmp_path / "j.jsonl")
+        resumed = run_sweep("program=seq scale=smoke seed=0", jobs=1,
+                            store=store, journal=journal2)
+        journal2.close()
+        assert resumed.resilience["replayed"] >= 1

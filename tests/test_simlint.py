@@ -349,7 +349,8 @@ class TestRepoIsClean:
     def test_src_and_benchmarks_lint_clean(self):
         """The PR's acceptance bar: the tree has no open findings."""
         result = lint_paths(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks"),
+             str(REPO_ROOT / "bench")]
         )
         assert result.errors == []
         assert result.findings == [], "\n".join(
@@ -360,7 +361,8 @@ class TestRepoIsClean:
         baseline = REPO_ROOT / "results" / "simlint-baseline.json"
         accepted = load_baseline(baseline)
         result = lint_paths(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks"),
+             str(REPO_ROOT / "bench")]
         )
         new, _ = apply_baseline(result, accepted)
         assert new == []

@@ -16,6 +16,7 @@ from repro.harness.sweep import (
     shared_pool,
     shutdown_pool,
 )
+from repro.telemetry import disable_process_telemetry, enable_process_telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -238,12 +239,17 @@ class TestPersistentPool:
 
     def test_workers_attach_no_telemetry(self, monkeypatch):
         """Counters in a worker could not reach the parent, so a pool
-        forked under ``REPRO_TELEMETRY=1`` simulates unobserved; the
-        sanitizer still rides along, since it can fail a key."""
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        forked while the process-wide instance is installed simulates
+        unobserved; the sanitizer still rides along, since it can fail
+        a key."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
+        enable_process_telemetry()
         shutdown_pool()
-        observers = shared_pool(2).submit(_worker_observers).result(timeout=60)
+        try:
+            observers = shared_pool(2).submit(_worker_observers).result(
+                timeout=60)
+        finally:
+            disable_process_telemetry()
         assert observers == (False, True)
 
 

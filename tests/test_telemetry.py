@@ -22,7 +22,6 @@ from repro.telemetry import (
     disable_process_telemetry,
     enable_process_telemetry,
     format_profile,
-    maybe_count,
     metrics_snapshot,
     process_telemetry,
     profile_program,
@@ -46,9 +45,8 @@ class FakeClock:
 
 
 @pytest.fixture(autouse=True)
-def _no_process_telemetry(monkeypatch):
-    """Keep the process-wide singleton and env switch out of every test."""
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+def _no_process_telemetry():
+    """Keep the process-wide instance out of every test."""
     disable_process_telemetry()
     yield
     disable_process_telemetry()
@@ -121,14 +119,8 @@ class TestProcessSingleton:
     def test_disabled_by_default(self):
         assert process_telemetry() is None
 
-    def test_maybe_count_is_noop_when_disabled(self):
-        maybe_count("cache.misses")
-        assert process_telemetry() is None
-
     def test_enable_then_count(self):
         tel = enable_process_telemetry()
-        maybe_count("cache.misses", 2)
-        assert tel.counters["cache.misses"] == 2
         assert enable_process_telemetry() is tel  # idempotent
 
 
@@ -148,10 +140,10 @@ class TestSimulatorAttachment:
         tel = Telemetry()
         assert Simulator(telemetry=tel).telemetry is tel
 
-    def test_env_var_attaches_process_instance(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    def test_installed_instance_attaches_to_every_simulator(self):
+        tel = enable_process_telemetry()
         sim_a, sim_b = Simulator(), Simulator()
-        assert sim_a.telemetry is sim_b.telemetry is process_telemetry()
+        assert sim_a.telemetry is sim_b.telemetry is tel
 
     def test_events_popped_counts_every_step(self):
         sim = Simulator(telemetry=True)
@@ -392,36 +384,3 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert "telemetry:" in out
         assert "bus.bytes_delivered" in out
-
-
-# -- cache counter mirroring ------------------------------------------
-
-
-class TestCacheTelemetry:
-    def test_store_counters_mirror_into_telemetry(self):
-        from repro.harness.store import TraceStore
-
-        tel = enable_process_telemetry()
-        store = TraceStore(capacity=1)
-        store.get("sor", scale="smoke")        # miss
-        store.get("sor", scale="smoke")        # memory hit
-        store.get("hist", scale="smoke")       # miss + evicts sor
-        assert tel.counters["cache.misses"] == 2
-        assert tel.counters["cache.memory_hits"] == 1
-        assert tel.counters["cache.evictions"] == 1
-        assert tel.counters["cache.misses"] == store.stats.misses
-
-    def test_get_trace_counts_requests(self):
-        from repro.harness import get_trace
-
-        tel = enable_process_telemetry()
-        get_trace("sor", scale="smoke")
-        assert tel.counters["harness.get_trace"] == 1
-
-    def test_cache_stats_cli_reports_telemetry(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        assert main(["cache", "stats", "--dir", str(tmp_path),
-                     "--telemetry"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry cache counters" in out
