@@ -31,8 +31,8 @@ Usage::
     python -m repro profile sor [--scale ...] [--seed N] [--top N]
                                 [--emit-chrome [FILE]] [--emit-metrics [FILE]]
 
-``run``/``all``/``cache`` share the persistent trace cache: the
-directory is ``--cache-dir`` (``--dir`` for ``cache``), else the
+``run``/``all``/``sweep``/``cache`` share the persistent trace cache:
+the directory is ``--cache-dir`` (``--dir`` for ``cache``), else the
 ``REPRO_TRACE_CACHE`` environment variable, else
 ``results/.trace-cache``.  Traces simulated once are reused by every
 later invocation.  ``--no-cache`` keeps a run's traces in memory only.
@@ -60,9 +60,10 @@ attaches, and prints a counter summary when it finishes.  Like
 traces involve no simulation to observe, and pool workers' counters
 would never reach this process) and leaves trace bytes untouched.
 ``REPRO_SANITIZE`` set in the environment counts as ``--sanitize``.
-``--faults``, ``--sanitize`` and ``--telemetry`` hold for one command:
-``main()`` puts back the fault plan, ``REPRO_SANITIZE`` and telemetry
-instance it found once the command returns.
+The trace store, ``--faults``, ``--sanitize`` and ``--telemetry`` hold
+for one command: ``main()`` puts back the process-wide trace store,
+fault plan, ``REPRO_SANITIZE`` and telemetry instance it found once the
+command returns.
 ``repro profile`` is the dedicated front-end: a sampling profile of an
 unobserved run per ``repro`` module, beside the counters of a run under
 a private telemetry instance, with optional Chrome-trace and
@@ -77,7 +78,8 @@ import os
 import sys
 
 from .harness import (ABLATIONS, EXPERIMENTS, default_faults,
-                      export_artifact, set_default_faults)
+                      export_artifact, set_default_faults, set_trace_store,
+                      trace_store)
 from .telemetry import (disable_process_telemetry, enable_process_telemetry,
                         process_telemetry)
 
@@ -87,17 +89,19 @@ DEFAULT_CACHE_DIR = "results/.trace-cache"
 
 
 def _store(args):
-    """The process-wide trace store: memory-only under ``--no-cache``,
-    else on disk at ``--cache-dir``, ``REPRO_TRACE_CACHE`` or
-    :data:`DEFAULT_CACHE_DIR`, in that order."""
-    from .harness import configure_trace_store
-    from .harness.store import CACHE_ENV_VAR
+    """The command's trace store: memory-only under ``--no-cache``, else
+    on disk at ``--cache-dir``, ``REPRO_TRACE_CACHE`` or
+    :data:`DEFAULT_CACHE_DIR`, in that order.  Only ``run``/``all``
+    install it as the process-wide store (their runners read traces
+    through :func:`~repro.harness.get_trace`); ``sweep`` and ``cache``
+    pass it explicitly."""
+    from .harness.store import CACHE_ENV_VAR, TraceStore
 
-    if getattr(args, "no_cache", False):
-        return configure_trace_store(disk_dir=None)
-    directory = (getattr(args, "cache_dir", None)
-                 or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
-    return configure_trace_store(disk_dir=directory)
+    directory = None
+    if not getattr(args, "no_cache", False):
+        directory = (getattr(args, "cache_dir", None)
+                     or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
+    return TraceStore(capacity=trace_store().capacity, disk_dir=directory)
 
 
 def _env_on(name: str) -> bool:
@@ -142,8 +146,9 @@ def _cmd_list(args) -> int:
 
 
 def _produce_batch(exp_ids, args) -> None:
-    """Set up a ``run``/``all`` process, then produce the traces the
-    runners ``exp_ids`` declare as one batch, before any runner starts.
+    """Set up a ``run``/``all`` command, installing its trace store as
+    the process-wide one, then produce the traces the runners ``exp_ids``
+    declare as one batch, before any runner starts.
 
     Observed runs (sanitizer or telemetry) imply ``--no-cache``: with a
     memory-only store the sweep engine produces in this process, where
@@ -156,7 +161,7 @@ def _produce_batch(exp_ids, args) -> None:
     _apply_telemetry(args)
     if _env_on("REPRO_SANITIZE") or process_telemetry() is not None:
         args.no_cache = True
-    _store(args)
+    set_trace_store(_store(args))
     batch = trace_batch(exp_ids, args.scale, args.seed)
     if not batch:
         return
@@ -376,7 +381,7 @@ def _cmd_cache_stats(args) -> int:
         extra = " +overrides" if key.get("overrides") else ""
         print(f"  {e['digest'][:12]}  schema={e.get('schema')}  "
               f"{e.get('packets', 0):>8} pkts  {tag}{extra}")
-    print(f"this process: {store.stats.as_dict()}")
+    print(f"quarantined: {len(store.quarantined_entries())} file(s)")
     return 0
 
 
@@ -903,7 +908,8 @@ def main(argv=None) -> int:
         p.add_argument("--dir", dest="cache_dir", metavar="DIR", default=None,
                        help=f"cache directory ({DEFAULT_CACHE_DIR})")
 
-    p_stats = cache_sub.add_parser("stats", help="list cached traces and counters")
+    p_stats = cache_sub.add_parser(
+        "stats", help="list cached traces and count quarantined files")
     add_cache_common(p_stats)
     p_stats.set_defaults(fn=_cmd_cache_stats)
 
@@ -1030,13 +1036,16 @@ def main(argv=None) -> int:
     p_demo.set_defaults(fn=_cmd_faults_demo)
 
     args = parser.parse_args(argv)
-    # --faults/--sanitize/--telemetry hold for this one command only.
+    # The trace store and --faults/--sanitize/--telemetry hold for this
+    # one command only.
+    store = trace_store()
     faults = default_faults()
     sanitize = os.environ.get("REPRO_SANITIZE")
     telemetry = process_telemetry()
     try:
         return args.fn(args)
     finally:
+        set_trace_store(store)
         set_default_faults(faults)
         os.environ.pop("REPRO_SANITIZE", None)
         if sanitize is not None:

@@ -14,6 +14,7 @@ from .runner import (
     get_trace,
     prefetch_traces,
     set_default_faults,
+    set_trace_store,
     trace_store,
 )
 from .store import TRACE_SCHEMA_VERSION, CacheStats, TraceKey, TraceStore
@@ -52,6 +53,7 @@ __all__ = [
     "RetryPolicy",
     "SweepJournal",
     "configure_trace_store",
+    "set_trace_store",
     "set_default_faults",
     "default_faults",
     "TraceStore",

@@ -16,8 +16,9 @@ rot on disk.  This module holds the policies the sweep engine
   ``journal.jsonl`` with atomic rotation; replaying it is what makes
   ``repro sweep --journal FILE`` crash-safe after a SIGKILL or reboot.
 
-The engine's executor rebuilds a pool whose worker died and enforces
-``task_timeout`` inside the worker; everything here is wall-clock-aware
+The engine's executor rebuilds a pool whose worker died, and its pool
+entry enforces ``task_timeout`` and takes a :class:`ChaosPlan`'s
+decisions inside the worker; everything here is wall-clock-aware
 (backoff is wall time by definition) but **never** feeds wall readings
 into simulation state: the recovery layer retries, requeues, and
 replays work whose outputs are deterministic, so a sweep that survived
@@ -32,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -43,7 +43,6 @@ __all__ = [
     "ChaosPlan",
     "RetryPolicy",
     "SweepJournal",
-    "produce_with_chaos",
 ]
 
 #: Journal line-format version, recorded in the ``begin`` row.
@@ -190,10 +189,6 @@ class ChaosPlan:
         parts.append(f"seed={self.seed}")
         return ",".join(parts)
 
-    def as_dict(self) -> dict:
-        return {"kill_worker": self.kill_worker, "hang": self.hang,
-                "corrupt_cache": self.corrupt_cache, "seed": self.seed}
-
     def decide(self, ident: str, attempt: int) -> Tuple[bool, bool, bool]:
         """``(kill, hang, corrupt)`` decisions for one task attempt."""
         return (
@@ -217,38 +212,6 @@ def _truncate_file(path: Path) -> None:
             fh.truncate(max(1, size // 2))
     except OSError:  # pragma: no cover - entry raced away; nothing to corrupt
         pass
-
-
-def produce_with_chaos(payload) -> tuple:
-    """Pool worker entry: one sweep task, under an optional chaos plan.
-
-    ``payload`` is ``(task, attempt, chaos_dict_or_None)`` where ``task``
-    is the sweep engine's standard production tuple.  Chaos decisions
-    are evaluated here, inside the worker, so a ``kill`` takes the whole
-    process down exactly like a real crash would — the executor in the
-    parent is what must recover.
-    """
-    task, attempt, chaos_doc = payload
-    digest = task[4]
-    if chaos_doc:
-        plan = ChaosPlan(**chaos_doc)
-        kill, hang, corrupt = plan.decide(digest, attempt)
-        if kill:
-            os._exit(17)  # simulate SIGKILL: no cleanup, no answer
-        if hang:
-            while True:  # hold the task until the task timeout fires
-                time.sleep(60)
-    else:
-        corrupt = False
-    from .sweep import _produce_one
-
-    out = _produce_one(task)
-    if corrupt:
-        # Corrupt *after* the digest was computed from the in-memory
-        # trace: the sweep answer stays truthful, the disk entry rots —
-        # exactly the failure `repro cache scrub` exists to catch.
-        _truncate_file(Path(task[5]) / f"{digest}.npz")
-    return out
 
 
 # ---------------------------------------------------------------------------

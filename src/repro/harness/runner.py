@@ -22,6 +22,7 @@ __all__ = [
     "clear_trace_cache",
     "trace_store",
     "configure_trace_store",
+    "set_trace_store",
     "set_default_faults",
     "default_faults",
     "REPRESENTATIVE_CONNECTIONS",
@@ -69,6 +70,17 @@ def trace_store() -> TraceStore:
     return _STORE
 
 
+def set_trace_store(store: TraceStore) -> TraceStore:
+    """Install ``store`` as the process-wide trace store.
+
+    Returns the previous store so callers can restore it.
+    """
+    global _STORE
+    previous = _STORE
+    _STORE = store
+    return previous
+
+
 def configure_trace_store(
     capacity: Optional[int] = None,
     disk_dir: Optional[os.PathLike] = None,
@@ -78,12 +90,12 @@ def configure_trace_store(
     Statistics reset; the memory layer starts empty.  Returns the new
     store.
     """
-    global _STORE
-    _STORE = TraceStore(
+    store = TraceStore(
         capacity=capacity if capacity is not None else _STORE.capacity,
         disk_dir=disk_dir,
     )
-    return _STORE
+    set_trace_store(store)
+    return store
 
 
 def get_trace(name: str, scale: str = "default", seed: int = 0,

@@ -13,8 +13,9 @@ trace *production* from trace *analysis*:
   overrides, and a pipeline schema version;
 * :meth:`TraceStore.warm` fans production out across a
   ``multiprocessing`` pool, one worker per (program, scale, seed) job.
-  Workers write through the same on-disk cache, so a warmed store serves
-  benchmarks, figures, ablations, and the CLI without re-simulating.
+  Each worker produces through a store over the same on-disk cache, so
+  a warmed store serves benchmarks, figures, ablations, and the CLI
+  without re-simulating.
 
 Production is deterministic (the DES is exactly repeatable given a
 seed), so parallel and serial production yield byte-identical traces;
@@ -231,9 +232,12 @@ def _stat_signature(path: Path) -> Optional[tuple]:
 def _decode_overrides(raw: dict) -> dict:
     """Sidecar ``key.overrides`` back to ``run_measured`` kwargs.
 
-    Entries written through :meth:`TraceStore._disk_store` hold
-    JSON-encoded strings (the frozen :class:`TraceKey` form); entries
-    written by sweep workers hold the raw dict.  Accept both.
+    Every entry is written through :meth:`TraceStore._disk_store`, whose
+    sidecar holds JSON-encoded strings (the frozen :class:`TraceKey`
+    form).  Older sweep workers wrote their own sidecars holding the raw
+    dict; such caches are input from outside the program, and
+    ``repro cache scrub --repair`` must still rebuild them, so accept
+    both.
     """
     kwargs = {}
     for name, value in (raw or {}).items():
@@ -521,12 +525,7 @@ class TraceStore:
         return entries
 
     # -- parallel production -------------------------------------------
-    def warm(
-        self,
-        specs: Iterable[Tuple],
-        jobs: int = 1,
-        load: bool = False,
-    ) -> list:
+    def warm(self, specs: Iterable[Tuple], jobs: int = 1) -> list:
         """Produce traces for ``specs`` in parallel, through the disk cache.
 
         Parameters
@@ -538,8 +537,6 @@ class TraceStore:
             Worker processes; 1 produces serially in-process (still
             writing through the cache), which is also the fallback when
             no disk layer is configured.
-        load:
-            Also pull every warmed trace into the memory layer.
 
         Returns the sweep's :class:`~repro.harness.sweep.SweepEntry` for
         each unique key, in spec order.  Workers inherit the DES's
@@ -551,19 +548,17 @@ class TraceStore:
         deduplicated up front, cache hits short-circuit without touching
         a worker, and misses shard across the *persistent* process-wide
         pool (:func:`~repro.harness.sweep.shared_pool`) rather than a
-        fresh ``multiprocessing.Pool`` per call.
+        fresh ``multiprocessing.Pool`` per call.  Every miss is produced
+        through :meth:`get`: on this store when serial, or in a worker on
+        a store over the same disk layer, so a pooled key lands in the
+        cache exactly as a serial one; only the serial path also fills
+        this store's memory layer.
         """
         from .sweep import as_work_items, run_sweep
 
         keys = as_work_items(specs)
         by_key = run_sweep(keys, jobs=jobs, store=self).by_key()
-        results = [by_key[key] for key, _overrides in keys]
-        if load:
-            for (key, overrides), result in zip(keys, results):
-                if result.ok:
-                    self.get(key.name, scale=key.scale, seed=key.seed,
-                             **overrides)
-        return results
+        return [by_key[key] for key, _overrides in keys]
 
     def __repr__(self):  # pragma: no cover - cosmetic
         where = self.disk_dir or "memory-only"

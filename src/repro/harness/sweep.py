@@ -17,6 +17,10 @@ is the one production engine behind all of them:
   :class:`~.resilience.RetryPolicy` whether serial or pooled, and
   streams progress (done/hit/produced/failed, runs/sec, ETA) through a
   callback;
+* every missing key, serial or pooled, is produced by one function,
+  :func:`_produce`, through a :class:`~.store.TraceStore`: the sweep's
+  own store in this process, or a store over the same cache directory
+  inside a worker, which returns the finished :class:`SweepEntry`;
 * the outcome is a :class:`SweepResult` whose :meth:`~SweepResult.manifest`
   is **deterministic**: sorted keys, per-trace SHA-256 digests, packet
   counts and simulated seconds — byte-identical whether the sweep ran
@@ -36,7 +40,6 @@ import os
 import signal
 import threading
 import time
-import zipfile
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
@@ -47,7 +50,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..atomic import write_atomic
-from ..capture import load_npz, trace_digest
+from ..capture import trace_digest
 from ..telemetry import Telemetry, disable_process_telemetry
 from .resilience import (
     DEFAULT_RETRY,
@@ -55,9 +58,9 @@ from .resilience import (
     ChaosPlan,
     RetryPolicy,
     SweepJournal,
-    produce_with_chaos,
+    _truncate_file,
 )
-from .store import TRACE_SCHEMA_VERSION, TraceKey, TraceStore, _write_entry
+from .store import TRACE_SCHEMA_VERSION, TraceKey, TraceStore
 
 __all__ = [
     "SWEEP_SCHEMA_VERSION",
@@ -444,97 +447,62 @@ def _raise_timeout(signum, frame) -> None:  # noqa: ARG001
     raise TimeoutError("task exceeded its task-timeout")
 
 
-def _run_task(payload, timeout: Optional[float]):
-    """Pool entry: :func:`produce_with_chaos` under an optional limit.
+def _run_task(key: TraceKey, overrides: dict, cache_dir: Path, qmon_dir,
+              attempt: int, chaos: Optional[ChaosPlan],
+              timeout: Optional[float]) -> SweepEntry:
+    """Pool entry: one attempt at one key, produced by :func:`_produce`
+    on a :class:`TraceStore` over the sweep's cache directory.
 
-    The limit is a ``SIGALRM`` interval timer inside the worker; its
+    ``timeout`` arms a ``SIGALRM`` interval timer inside the worker; its
     handler raises :class:`TimeoutError`, so a runaway key fails like any
     other error, goes through the retry path, and the worker survives.
+    Chaos decisions are taken here, inside the worker, so a ``kill``
+    takes the whole process down exactly like a real crash would: the
+    executor in the parent is what must recover.
     """
-    if not timeout:
-        return produce_with_chaos(payload)
-    signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    digest = key.digest()
+    kill, hang, corrupt = (chaos.decide(digest, attempt) if chaos is not None
+                           else (False, False, False))
+    if timeout:
+        signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return produce_with_chaos(payload)
+        if kill:
+            os._exit(17)  # simulate SIGKILL: no cleanup, no answer
+        while hang:  # hold the task until the task timeout fires
+            time.sleep(60)
+        entry = _produce(TraceStore(disk_dir=cache_dir), key, overrides,
+                         qmon_dir)
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        if timeout:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    if corrupt:
+        # Corrupt *after* the digest was computed from the in-memory
+        # trace: the sweep answer stays truthful, the disk entry rots —
+        # exactly the failure `repro cache scrub` exists to catch.
+        _truncate_file(cache_dir / f"{digest}.npz")
+    return entry
 
 
-def _qmon_requested(overrides: dict) -> bool:
-    """Queue monitors only observe the switched fabric."""
-    return overrides.get("route") == "switched"
+def _qmon_missing(qmon_dir, key: TraceKey, overrides: dict) -> bool:
+    """A switched-route key whose queue-monitor manifest is not yet in
+    ``qmon_dir`` (queue monitors only observe the switched fabric)."""
+    return (qmon_dir is not None and overrides.get("route") == "switched"
+            and not (Path(qmon_dir) / f"{key.digest()}.qmon.json").exists())
 
 
-def _qmon_path(qmon_dir, digest: str) -> Path:
-    return Path(qmon_dir) / f"{digest}.qmon.json"
-
-
-def _write_qmon_manifest(qmon_dir, digest: str, monitor,
-                         name: str, scale: str, seed: int) -> None:
+def _write_qmon_manifest(qmon_dir, key: TraceKey, monitor) -> None:
     """Atomically land one key's qmon manifest next to the sweep."""
     from ..netmon import build_manifest, write_qmon
 
     directory = Path(qmon_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    digest = key.digest()
     doc = build_manifest(monitor, meta={
-        "program": name, "scale": scale, "seed": seed, "digest": digest,
+        "program": key.name, "scale": key.scale, "seed": key.seed,
+        "digest": digest,
     })
     write_qmon(directory / f"{digest}.qmon.json", doc)
-
-
-def _produce_one(task):
-    """Pool worker: produce one trace through the disk cache.
-
-    Module-level so it pickles under ``spawn``.  Returns ``(digest,
-    trace sha256, packets, simulated seconds, produced?, worker wall
-    seconds, error)``.  A failure is reported, never raised — one bad
-    key must not poison the sweep.
-
-    An optional 7th task element carries a qmon manifest directory:
-    switched-route keys then run under queue monitors (trace bytes are
-    unchanged) and land ``<digest>.qmon.json`` beside the sweep.
-    """
-    from ..programs import run_measured
-
-    name, scale, seed, overrides, digest, cache_dir = task[:6]
-    qmon_dir = task[6] if len(task) > 6 else None
-    directory = Path(cache_dir)
-    npz = directory / f"{digest}.npz"
-    want_qmon = qmon_dir is not None and _qmon_requested(overrides)
-    t0 = _WALL()
-    try:
-        npz_existed = npz.exists()
-        if npz_existed and not (want_qmon
-                                and not _qmon_path(qmon_dir, digest).exists()):
-            # Raced or resumed: another worker (or a previous sweep)
-            # already landed this entry (and its manifest, if asked for).
-            try:
-                trace = load_npz(npz)
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-                npz_existed = False  # a torn or rotten entry: produce afresh
-            else:
-                return (digest, trace_digest(trace), len(trace),
-                        float(trace.duration), False, _WALL() - t0, None)
-        if want_qmon:
-            detail: dict = {}
-            trace = run_measured(name, scale=scale, seed=seed, qmon=True,
-                                 detail=detail, **overrides)
-            _write_qmon_manifest(qmon_dir, digest, detail["qmon"],
-                                 name, scale, seed)
-        else:
-            trace = run_measured(name, scale=scale, seed=seed, **overrides)
-        if npz_existed:
-            sha = trace_digest(trace)
-        else:
-            sha = _write_entry(directory, digest, trace,
-                               {"name": name, "scale": scale, "seed": seed,
-                                "overrides": overrides})
-        return (digest, sha, len(trace), float(trace.duration),
-                not npz_existed, _WALL() - t0, None)
-    except Exception as exc:  # noqa: BLE001 - reported per key
-        return (digest, "", 0, 0.0, False, _WALL() - t0,
-                f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -707,22 +675,21 @@ class SweepResult:
 
 
 def _peek_cached(store: TraceStore, key: TraceKey) -> Optional[SweepEntry]:
-    """A finished :class:`SweepEntry` iff the key is already cached.
+    """A finished :class:`SweepEntry` iff the key's entry and its
+    metadata sidecar are on disk.
 
-    Prefers the entry's metadata sidecar (sha256/packets/duration) so a
-    fully warm sweep never loads a trace, let alone touches a worker;
-    falls back to reading the npz when the sidecar predates the
-    ``sim_seconds`` field or is unreadable.
+    Reads only the sidecar (sha256/packets/duration), so a fully warm
+    sweep never loads a trace, let alone touches a worker.  An entry
+    without a readable sidecar is left to :func:`_produce`, whose
+    ``store.get`` reads a loadable npz as a disk hit.
     """
     if store.disk_dir is None:
         return None
     digest = key.digest()
-    npz = store.disk_dir / f"{digest}.npz"
-    if not npz.exists():
+    if not (store.disk_dir / f"{digest}.npz").exists():
         return None
-    meta_path = store.disk_dir / f"{digest}.json"
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads((store.disk_dir / f"{digest}.json").read_text())
         return SweepEntry(
             key=key, digest=digest,
             trace_sha256=meta["trace_sha256"],
@@ -731,48 +698,48 @@ def _peek_cached(store: TraceStore, key: TraceKey) -> Optional[SweepEntry]:
             cache_hit=True,
         )
     except (OSError, ValueError, KeyError):
-        pass
-    try:
-        trace = load_npz(npz)
-    except Exception:  # noqa: BLE001 - corrupt entry: re-produce it
         return None
-    return SweepEntry(
-        key=key, digest=digest, trace_sha256=trace_digest(trace),
-        packets=len(trace), sim_seconds=float(trace.duration),
-        cache_hit=True,
-    )
 
 
-def _produce_serial(store: TraceStore, key: TraceKey, overrides: dict,
-                    qmon_dir=None) -> SweepEntry:
-    """In-process production through the store (jobs=1 / memory-only)."""
+def _produce(store: TraceStore, key: TraceKey, overrides: dict,
+             qmon_dir=None) -> SweepEntry:
+    """Produce one key through ``store``: the producer of every sweep
+    key, serial (on the sweep's own store) or pooled (inside a worker,
+    on a store over the same cache directory).
+
+    The key counts as produced when ``store.get`` missed: a loadable
+    entry is a disk hit, and an unreadable one is quarantined and
+    produced afresh.  A switched-route key whose queue-monitor manifest
+    is missing from ``qmon_dir`` is simulated under the monitor instead
+    (trace bytes are unchanged) and written through if the store lacks
+    it.  A failure is reported on the entry, never raised: one bad key
+    must not poison the sweep.
+    """
     digest = key.digest()
-    cached = key in store
-    want_qmon = (qmon_dir is not None and _qmon_requested(overrides)
-                 and not _qmon_path(qmon_dir, digest).exists())
     t0 = _WALL()
     try:
-        if want_qmon:
-            # The manifest needs a live simulation; re-run under the
-            # monitor (trace bytes are unchanged) and write through.
+        if _qmon_missing(qmon_dir, key, overrides):
             from ..programs import run_measured
 
+            produced = key not in store
             detail: dict = {}
             trace = run_measured(key.name, scale=key.scale, seed=key.seed,
                                  qmon=True, detail=detail, **overrides)
-            store.put(key, trace)
-            _write_qmon_manifest(qmon_dir, digest, detail["qmon"],
-                                 key.name, key.scale, key.seed)
+            if produced:
+                store.put(key, trace)
+            _write_qmon_manifest(qmon_dir, key, detail["qmon"])
         else:
+            misses = store.stats.misses
             trace = store.get(key.name, scale=key.scale, seed=key.seed,
                               **overrides)
+            produced = store.stats.misses > misses
     except Exception as exc:  # noqa: BLE001 - reported per key
         return SweepEntry(key=key, digest=digest, wall_seconds=_WALL() - t0,
                           error=f"{type(exc).__name__}: {exc}")
     return SweepEntry(
         key=key, digest=digest, trace_sha256=trace_digest(trace),
         packets=len(trace), sim_seconds=float(trace.duration),
-        produced=not cached, cache_hit=cached, wall_seconds=_WALL() - t0,
+        produced=produced, cache_hit=not produced, wall_seconds=_WALL() - t0,
     )
 
 
@@ -798,9 +765,9 @@ def run_sweep(
     jobs:
         Worker processes.  ``1`` produces serially in-process; more
         shards cache misses across the persistent :func:`shared_pool`.
-        A store without a disk layer always degrades to serial (workers
-        write through the disk cache; without one there is nothing to
-        share).
+        A store without a disk layer always degrades to serial (a worker
+        produces on a store over the same cache directory; without one
+        there is nothing to share).
     store:
         The backing :class:`TraceStore`; defaults to the process-wide
         store (:func:`repro.harness.runner.trace_store`).
@@ -839,12 +806,18 @@ def run_sweep(
         the sweep manifest stay byte-identical).
 
     Cache-hit keys short-circuit before dispatch: a fully warm sweep
-    performs no simulation and spawns no worker.  Failures are recorded
-    per key (``SweepEntry.error``) and never abort the rest.
+    performs no simulation and spawns no worker.  An entry without a
+    readable metadata sidecar is not a short-circuit hit; it goes to the
+    producer, whose store reads a loadable npz as a disk hit and
+    quarantines an unreadable one (``*.npz.corrupt``) before producing
+    it afresh.  Failures are recorded per key (``SweepEntry.error``) and
+    never abort the rest.
 
-    Serial and pooled production share one loop: at most ``jobs`` keys
-    in flight, every failed attempt routed through ``retry`` (backoff,
-    then quarantine).  A dead worker breaks the whole executor, which
+    Serial and pooled production share one loop and one producer
+    (:func:`_produce`): at most ``jobs`` keys in flight, every failed
+    attempt routed through ``retry`` (backoff, then quarantine).  A key
+    a worker produced adds one to ``store.stats.disk_writes``, as it
+    would in this process.  A dead worker breaks the whole executor, which
     cannot say whose worker it was, so the pool is rebuilt and every
     in-flight key is requeued and charged one attempt.
     """
@@ -942,9 +915,7 @@ def run_sweep(
             ))
             continue
         hit = _peek_cached(store, key)
-        if (hit is not None and qmon_dir is not None
-                and _qmon_requested(overrides)
-                and not _qmon_path(qmon_dir, digest).exists()):
+        if hit is not None and _qmon_missing(qmon_dir, key, overrides):
             hit = None  # cached trace, missing manifest: re-produce
         if hit is not None:
             record(hit)
@@ -956,8 +927,6 @@ def run_sweep(
         store.disk_dir.mkdir(parents=True, exist_ok=True)
         pool = shared_pool(jobs)
     window = jobs if pool is not None else 1
-    chaos_doc = chaos.as_dict() if chaos is not None and chaos.active \
-        else None
     attempts: Dict[TraceKey, int] = {}
     ready = deque(misses)
     waiting: list = []  # backoff min-heap of (due, seq, (key, overrides))
@@ -971,14 +940,10 @@ def run_sweep(
         attempts[key] = attempts.get(key, 0) + 1
         if pool is None:
             future: Future = Future()
-            future.set_result(_produce_serial(store, key, overrides,
-                                              qmon_dir=qmon_dir))
+            future.set_result(_produce(store, key, overrides, qmon_dir))
             return future
-        task = (key.name, key.scale, key.seed, overrides, key.digest(),
-                str(store.disk_dir),
-                str(qmon_dir) if qmon_dir is not None else None)
-        future = pool.submit(_run_task, (task, attempts[key], chaos_doc),
-                             task_timeout)
+        future = pool.submit(_run_task, key, overrides, store.disk_dir,
+                             qmon_dir, attempts[key], chaos, task_timeout)
         _POOL_STATS["tasks"] += 1
         return future
 
@@ -990,8 +955,8 @@ def run_sweep(
         exc = future.exception()
         if exc is None:
             entry = future.result()
-            if not isinstance(entry, SweepEntry):
-                entry = _pooled_entry(store, key, entry)
+            if pool is not None and entry.produced:
+                store.stats.disk_writes += 1  # the worker's store wrote it
         else:
             error = ("worker died" if isinstance(exc, BrokenProcessPool)
                      else f"{type(exc).__name__}: {exc}")
@@ -1081,17 +1046,4 @@ def run_sweep(
     return SweepResult(
         entries=ordered, jobs=jobs, wall_seconds=_WALL() - t0,
         total_keys=len(items), interrupted=interrupted, resilience=tallies,
-    )
-
-
-def _pooled_entry(store: TraceStore, key: TraceKey, outcome) -> SweepEntry:
-    """A worker's :func:`_produce_one` outcome tuple as a SweepEntry."""
-    digest, sha, packets, sim_s, produced, wall, error = outcome
-    if produced:
-        store.stats.disk_writes += 1
-    return SweepEntry(
-        key=key, digest=digest, trace_sha256=sha, packets=packets,
-        sim_seconds=sim_s, produced=produced,
-        cache_hit=not produced and error is None,
-        wall_seconds=wall, error=error,
     )

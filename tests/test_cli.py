@@ -178,7 +178,6 @@ class TestTraceCacheChoice:
     def warm_env_cache(self, tmp_path, monkeypatch):
         """A disk cache holding fig8's trace, named by REPRO_TRACE_CACHE."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(runner, "_STORE", runner._STORE)
         warm = tmp_path / "warm"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["cache", "warm", "--scale", "smoke",
@@ -197,10 +196,14 @@ class TestTraceCacheChoice:
         if env is not None:
             monkeypatch.setenv(env, "1")
         started = pool_stats()["started"]
-        assert main(["run", "fig8", "--scale", "smoke"] + flags) == 0
+        export = warm_env_cache.parent / "export"
+        assert main(["run", "fig8", "--scale", "smoke",
+                     "--export", str(export)] + flags) == 0
         out = capsys.readouterr().out
-        store = runner.trace_store()
-        assert store.disk_dir is None and store.stats.misses == 1
+        pipeline = json.loads(
+            (export / "fig8" / "manifest.json").read_text())["trace_pipeline"]
+        assert pipeline["cache_dir"] is None
+        assert pipeline["cache_stats"]["misses"] == 1
         assert pool_stats()["started"] == started
         if "--telemetry" in flags:
             summary = re.search(r"^telemetry: (\d+) counters, (\d+) spans$",
@@ -251,7 +254,6 @@ class TestTraceCacheChoice:
     def test_env_var_chooses_the_disk_cache(self, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(runner, "_STORE", runner._STORE)
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "env"))
         assert main(["run", "fig8", "--scale", "smoke"]) == 0
         assert main(["run", "fig8", "--scale", "smoke",
@@ -261,6 +263,34 @@ class TestTraceCacheChoice:
         assert len(list((tmp_path / "flag").glob("*.npz"))) == 1
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "fig1", "--scale", "smoke", "--no-cache"],
+        ["cache", "stats", "--dir", "cache"],
+        ["sweep", "program=sor scale=smoke seed=0", "--cache-dir", "cache",
+         "--quiet"],
+    ], ids=["run", "cache-stats", "sweep"])
+    def test_trace_store_ends_with_the_command(self, command, tmp_path,
+                                               monkeypatch, capsys):
+        """A command's cache choice does not outlive it: the calling
+        process keeps the trace store it had."""
+        monkeypatch.chdir(tmp_path)
+        store = runner.trace_store()
+        assert main(command) == 0
+        capsys.readouterr()
+        assert runner.trace_store() is store
+
+
+def test_cache_stats_counts_quarantined_files(tmp_path, capsys):
+    """``cache stats`` counts the entries set aside as unreadable."""
+    TraceStore(disk_dir=tmp_path).get("sor", scale="smoke", seed=0)
+    (npz,) = tmp_path.glob("*.npz")
+    npz.write_bytes(npz.read_bytes()[:npz.stat().st_size // 2])
+    TraceStore(disk_dir=tmp_path).get("sor", scale="smoke", seed=0)
+    assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "quarantined: 1 file(s)" in out
+    assert "this process:" not in out
+
 
 @pytest.fixture(scope="module")
 def all_smoke(tmp_path_factory):
@@ -268,21 +298,22 @@ def all_smoke(tmp_path_factory):
     (``--jobs 1``), each into fresh cache and export directories."""
     root = tmp_path_factory.mktemp("all-smoke")
     runs = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_STORE", runner._STORE)
-        for jobs in (2, 1):
-            cache, export = root / f"cache{jobs}", root / f"export{jobs}"
-            started = pool_stats()["started"]
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(["all", "--scale", "smoke", "--jobs", str(jobs),
-                           "--cache-dir", str(cache),
-                           "--export", str(export)])
-            runs[jobs] = {
-                "rc": rc, "cache": cache, "export": export,
-                "misses": runner.trace_store().stats.misses,
-                "pools": pool_stats()["started"] - started,
-                "alive": pool_stats()["alive"],
-            }
+    for jobs in (2, 1):
+        cache, export = root / f"cache{jobs}", root / f"export{jobs}"
+        started = pool_stats()["started"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["all", "--scale", "smoke", "--jobs", str(jobs),
+                       "--cache-dir", str(cache), "--export", str(export)])
+        # Cache counts in a manifest cover the command up to that
+        # export, so the last runner's manifest holds the whole run's.
+        last = export / list(EXPERIMENTS)[-1] / "manifest.json"
+        pipeline = json.loads(last.read_text())["trace_pipeline"]
+        runs[jobs] = {
+            "rc": rc, "cache": cache, "export": export,
+            "misses": pipeline["cache_stats"]["misses"],
+            "pools": pool_stats()["started"] - started,
+            "alive": pool_stats()["alive"],
+        }
     return runs
 
 

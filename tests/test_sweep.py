@@ -176,6 +176,24 @@ class TestRunSweep:
         assert pool_stats()["alive"] == 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rotten_entry_without_sidecar_is_produced_again(tmp_path, jobs):
+    """An entry whose sidecar is gone goes to the producer, whose store
+    quarantines the unreadable npz and simulates the key afresh: serial
+    and pooled sweeps count and quarantine it alike."""
+    grid = "program=sor scale=smoke seed=0"
+    first = run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=tmp_path))
+    (npz,) = tmp_path.glob("*.npz")
+    npz.write_bytes(npz.read_bytes()[:npz.stat().st_size // 2])
+    npz.with_suffix(".json").unlink()
+    again = run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=tmp_path))
+    assert again.ok
+    assert again.produced == 1 and again.hits == 0
+    assert again.manifest_json() == first.manifest_json()
+    assert [p.name for p in tmp_path.glob("*.corrupt")] == [
+        npz.name + ".corrupt"]
+
+
 class TestManifest:
     GRID = "program=sor,hist scale=smoke seed=0..3"
 
@@ -361,6 +379,28 @@ class TestSweepQmon:
         result = run_sweep(grid, store=store, qmon_dir=qdir)
         assert result.failed == []
         assert f.read_bytes() == first
+
+    def test_pooled_qmon_manifests_match_serial(self, tmp_path):
+        """Pooled keys run under the monitor exactly as serial ones, and
+        write the same sidecars."""
+        grid = "program=sor,2dfft scale=smoke seed=0 route=switched"
+        runs = {}
+        for jobs in (1, 2):
+            cache, qdir = tmp_path / f"cache{jobs}", tmp_path / f"qmon{jobs}"
+            result = run_sweep(grid, jobs=jobs,
+                               store=TraceStore(disk_dir=cache),
+                               qmon_dir=qdir)
+            assert result.ok and result.produced == 2
+            runs[jobs] = (
+                result.manifest_json(),
+                {f.name: f.read_bytes() for f in qdir.glob("*.qmon.json")},
+                {f.name: json.loads(f.read_text())["key"]
+                 for f in cache.glob("*.json")},
+            )
+        assert len(runs[1][1]) == 2
+        assert runs[2] == runs[1]
+        assert all(key["overrides"] == {"route": '"switched"'}
+                   for key in runs[1][2].values())
 
     def test_direct_route_keys_skip_qmon(self, tmp_path):
         store = TraceStore(disk_dir=tmp_path / "cache")

@@ -270,8 +270,3 @@ class TestWarmFailures:
         store = TraceStore(disk_dir=tmp_path)
         self._check(store.warm(self.BAD_SPECS, jobs=2))
         assert len(store.disk_entries()) == 2
-
-    def test_warm_load_skips_failures(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
-        results = store.warm(self.BAD_SPECS, jobs=1, load=True)
-        assert sum(1 for r in results if r.ok) == 2
