@@ -21,10 +21,10 @@ Quick example::
     assert out == [1.5]
 """
 
-from .errors import EmptySchedule, Interrupt, SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .errors import EmptySchedule, SimulationError
+from .events import AllOf, Event, Timeout
 from .process import Process
-from .resources import FilterStore, Resource, Store
+from .resources import FilterStore, Store
 from .simulator import Simulator
 
 __all__ = [
@@ -32,12 +32,9 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Resource",
     "Store",
     "FilterStore",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
     "EmptySchedule",
 ]

@@ -21,17 +21,3 @@ class StopSimulation(Exception):
         super().__init__(value)
         self.value = value
 
-
-class Interrupt(Exception):
-    """Raised inside a process that was interrupted by another process.
-
-    The ``cause`` attribute carries the object passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __str__(self):  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"

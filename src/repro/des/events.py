@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional
 
 from .errors import SimulationError
 
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf", "PENDING", "TRIGGERED", "PROCESSED"]
+__all__ = ["Event", "Timeout", "AllOf", "PENDING", "TRIGGERED", "PROCESSED"]
 
 #: Event lifecycle states.
 PENDING = 0
@@ -115,7 +115,7 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically after a simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim, delay: float, value: Any = None):
         if delay < 0:
@@ -127,7 +127,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._state = TRIGGERED
-        self.delay = delay
         now = sim._now
         time = now + delay
         if time == now:
@@ -138,8 +137,9 @@ class Timeout(Event):
             heappush(sim._heap, (time, seq, self))
 
 
-class _Condition(Event):
-    """Base for composite events over a fixed set of child events."""
+class AllOf(Event):
+    """Succeeds when every child event has succeeded, with their values
+    keyed by position; fails with the first child failure."""
 
     __slots__ = ("events", "_n_done")
 
@@ -161,8 +161,7 @@ class _Condition(Event):
                 self._n_done += 1
             else:
                 ev.callbacks.append(self._child_done)
-        if self._state == PENDING:
-            self._finish_if_ready(initial=True)
+        self._succeed_if_done()
 
     def _child_done(self, ev: Event) -> None:
         if self._state != PENDING:
@@ -171,41 +170,10 @@ class _Condition(Event):
             self.fail(ev.value)
             return
         self._n_done += 1
-        self._finish_if_ready()
+        self._succeed_if_done()
 
-    def _finish_if_ready(self, initial: bool = False) -> None:
-        raise NotImplementedError
-
-    def _collect(self):
-        """Values of all completed-and-ok children, in declaration order.
-
-        Uses ``processed`` rather than ``triggered`` because a Timeout is
-        pre-triggered at construction; only processed children have
-        actually occurred.
-        """
-        return {
-            i: ev.value
-            for i, ev in enumerate(self.events)
-            if ev.processed and ev.ok
-        }
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has succeeded."""
-
-    __slots__ = ()
-
-    def _finish_if_ready(self, initial: bool = False) -> None:
-        if self._n_done == len(self.events) and self._state == PENDING:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as any child event succeeds."""
-
-    __slots__ = ()
-
-    def _finish_if_ready(self, initial: bool = False) -> None:
-        if self._n_done >= 1 or not self.events:
-            if self._state == PENDING:
-                self.succeed(self._collect())
+    def _succeed_if_done(self) -> None:
+        if self._n_done == len(self.events):
+            # Every child has been processed and succeeded, so each
+            # value is final.
+            self.succeed({i: ev.value for i, ev in enumerate(self.events)})

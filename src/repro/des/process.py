@@ -5,16 +5,15 @@ objects; the process suspends until the yielded event triggers, then
 resumes with the event's value (or has the event's exception thrown into
 it if the event failed).  A :class:`Process` is itself an event that
 triggers when the generator returns, so processes can wait on each other.
+An exception escaping the generator propagates out of
+:meth:`Simulator.run`.
 
-Resumes with a pre-decided outcome — the initial kick-start, a yield of
-an already-processed event, an interrupt wakeup — do not allocate a full
-relay :class:`Event`: a :class:`_Resume` record takes exactly the queue
-slot the relay would have occupied (same instant, same FIFO position),
-so the pop order is unchanged while the allocation and callback
-machinery disappear.  The outstanding record is tracked on the process
-(``_pending``) so :meth:`Process.interrupt` can detach it — without
-that, interrupting a process inside its kick-start or relay window would
-advance the generator twice (a ``send`` after the interrupt ``throw``).
+Resumes with a pre-decided outcome — the initial kick-start, a sleep on
+a bare delay, a yield of an already-processed event — do not allocate a
+full relay :class:`Event`: a :class:`_Resume` record takes exactly the
+queue slot the relay would have occupied (same instant, same FIFO
+position), so the pop order is unchanged while the allocation and
+callback machinery disappear.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Generator, Optional
 
-from .errors import Interrupt, SimulationError
+from .errors import SimulationError
 from .events import Event, PENDING, PROCESSED
 
 __all__ = ["Process"]
@@ -33,9 +32,8 @@ class _Resume:
 
     Duck-types the slice of the :class:`Event` surface the resume path
     reads (``_ok``/``_value``) and the scheduler calls (``_process``).
-    Detached by :meth:`Process.interrupt` by clearing ``proc`` — the
-    queue slot then pops as a no-op, which is what keeps an interrupted
-    kick-start/relay from advancing the generator a second time.
+    The batched run loop clears ``proc`` as it consumes the record,
+    which is how its abort path tells the unprocessed tail apart.
     """
 
     __slots__ = ("proc", "_ok", "_value")
@@ -46,13 +44,10 @@ class _Resume:
         self._value = value
 
     def _process(self) -> None:
-        proc = self.proc
-        if proc is not None:
-            proc._pending = None
-            proc._resume(self)
+        self.proc._resume(self)
 
     def __repr__(self):  # pragma: no cover - cosmetic
-        target = "detached" if self.proc is None else self.proc.name
+        target = "consumed" if self.proc is None else self.proc.name
         return f"<_Resume {target} ok={self._ok}>"
 
 
@@ -65,13 +60,13 @@ class Process(Event):
         Owning simulator.
     generator:
         The generator to drive.  Each ``yield`` must produce an
-        :class:`Event` belonging to the same simulator.
+        :class:`Event` belonging to the same simulator, or a bare
+        non-negative number to sleep for that many seconds.
     name:
         Optional label used in error messages and repr.
     """
 
-    __slots__ = ("generator", "name", "_target", "_pending", "_resume",
-                 "_send", "_throw")
+    __slots__ = ("generator", "name", "_resume", "_send", "_throw")
 
     def __init__(self, sim, generator: Generator, name: Optional[str] = None):
         try:
@@ -82,58 +77,22 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         # The resume callback, bound once, so registering it on a target
         # allocates no bound method.
         self._resume = self._advance
         # Kick-start: resume the generator at the current simulation
         # time, through the queue so creation order is execution order.
-        self._pending = pending = _Resume(self, True, None)
-        sim._ready.append(pending)
+        sim._ready.append(_Resume(self, True, None))
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._state == PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on, if any."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process stops waiting on its current target (the target event
-        itself is unaffected and may still trigger later).  If a resume
-        is already in flight — the initial kick-start, a relay of an
-        already-processed yield, or an earlier interrupt at the same
-        instant — it is detached first, so the generator is advanced
-        exactly once, with this interrupt.
-        """
-        if self._state != PENDING:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        target = self._target
-        if target is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._target = None
-        pending = self._pending
-        if pending is not None:
-            # Detach the in-flight resume: its queue slot stays but pops
-            # as a no-op.  The undelivered outcome is discarded, exactly
-            # as a pending target's eventual value would be.
-            pending.proc = None
-        self._pending = wakeup = _Resume(self, False, Interrupt(cause))
-        self.sim._ready.append(wakeup)
-
     # -- engine ------------------------------------------------------
     def _advance(self, event) -> None:
         """Advance the generator with ``event``'s outcome."""
         sim = self.sim
-        self._target = None
         try:
             if event._ok:
                 next_event = self._send(event._value)
@@ -141,15 +100,6 @@ class Process(Event):
                 next_event = self._throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            # An unhandled interrupt terminates the process as a failure.
-            self.fail(exc)
-            return
-        except BaseException as exc:
-            if sim.strict:
-                raise
-            self.fail(exc)
             return
         # Sleep protocol: a bare number is a delay.  The resume record
         # goes into exactly the ``(time, seq)`` slot the equivalent
@@ -167,14 +117,13 @@ class Process(Event):
                     f"process {self.name!r} yielded a negative delay: "
                     f"{next_event!r}"
                 )
-            self._pending = pending = _Resume(self, True, None)
             now = sim._now
             time = now + next_event
             if time == now:
-                sim._ready.append(pending)
+                sim._ready.append(_Resume(self, True, None))
             else:
                 sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, (time, seq, pending))
+                heappush(sim._heap, (time, seq, _Resume(self, True, None)))
             return
         # Validate by attribute probe: every Event has ``sim``/``_state``,
         # so the AttributeError path fires only for non-event yields —
@@ -191,17 +140,13 @@ class Process(Event):
                 f"process {self.name!r} yielded a non-event: {next_event!r}"
             ) from None
         if state != PROCESSED:
-            self._target = next_event
             next_event.callbacks.append(self._resume)
         else:
             # Already complete: resume via a relay record so ordering
             # stays deterministic.  The record takes exactly the queue
             # slot a relay Event would have — the pop order provably
             # cannot change — without the Event allocation.
-            self._pending = pending = _Resume(
-                self, next_event._ok, next_event._value
-            )
-            sim._ready.append(pending)
+            sim._ready.append(_Resume(self, next_event._ok, next_event._value))
 
     def __repr__(self):  # pragma: no cover - cosmetic
         status = "alive" if self.is_alive else "done"

@@ -1,108 +1,33 @@
-"""Shared-resource primitives: counted resources and FIFO stores.
+"""FIFO stores: NIC transmit queues, TCP and UDP mailboxes, and PVM task
+mailboxes.
 
-Both follow the DES idiom used everywhere else in this package: requests
-are events that a process ``yield``-s on.  Queueing discipline is strictly
-FIFO, which keeps simulations deterministic.
+A store follows the DES idiom used everywhere else in this package:
+``get`` returns an event that a process ``yield``-s on.  Stores are
+unbounded, so ``put`` never blocks, and waiting getters are served
+strictly FIFO, which keeps simulations deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
-from .errors import SimulationError
-from .events import Event, PENDING, TRIGGERED
+from .events import Event, TRIGGERED
 
-__all__ = ["Resource", "Store"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.resource.release(self)
-        return False
-
-
-class Resource:
-    """A resource with ``capacity`` identical slots.
-
-    Usage::
-
-        req = resource.request()
-        yield req
-        ...           # hold the resource
-        resource.release(req)
-    """
-
-    def __init__(self, sim, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._users: set = set()
-        self._queue: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is held."""
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed()
-        else:
-            self._queue.append(req)
-        return req
-
-    def release(self, req: Request) -> None:
-        """Return a slot previously granted to ``req``."""
-        if req in self._users:
-            self._users.remove(req)
-        elif req in self._queue:
-            # Cancelling a queued request is allowed (e.g. on interrupt).
-            self._queue.remove(req)
-            return
-        else:
-            raise SimulationError("releasing a request that holds nothing")
-        while self._queue and len(self._users) < self.capacity:
-            nxt = self._queue.popleft()
-            self._users.add(nxt)
-            nxt.succeed()
+__all__ = ["Store", "FilterStore"]
 
 
 class Store:
-    """An unbounded (or bounded) FIFO queue of Python objects.
+    """An unbounded FIFO queue of Python objects.
 
-    ``put`` never blocks unless a finite ``capacity`` is given; ``get``
-    returns an event that fires with the next item.
+    ``put`` never blocks; ``get`` returns an event that fires with the
+    next item.
     """
 
-    def __init__(self, sim, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim):
         self.sim = sim
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -113,27 +38,22 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        """Queue ``item``; the returned event fires once it is accepted.
+        """Queue ``item``, or hand it straight to the oldest waiting
+        getter; the returned event has already succeeded.
 
-        The success paths trigger the fresh event directly (state set +
-        ready-list append — exactly what :meth:`Event.succeed` does for
-        an event that cannot have been triggered yet), skipping the
-        method call and state guard on the engine's hottest hand-off.
+        The fresh event is triggered directly (state set + ready-list
+        append — exactly what :meth:`Event.succeed` does for an event
+        that cannot have been triggered yet), skipping the method call
+        and state guard on the engine's hottest hand-off.
         """
         sim = self.sim
         ev = Event(sim)
         if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev._state = TRIGGERED
-            sim._ready.append(ev)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev._state = TRIGGERED
-            sim._ready.append(ev)
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((ev, item))
+            self._items.append(item)
+        ev._state = TRIGGERED
+        sim._ready.append(ev)
         return ev
 
     def get(self) -> Event:
@@ -145,26 +65,9 @@ class Store:
             ev._value = items.popleft()
             ev._state = TRIGGERED
             sim._ready.append(ev)
-            if self._putters:
-                self._admit_putters()
         else:
             self._getters.append(ev)
         return ev
-
-    def _admit_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            put_ev, item = self._putters.popleft()
-            self._items.append(item)
-            put_ev.succeed()
-
-    def cancel_get(self, ev: Event) -> None:
-        """Withdraw a pending get (used when a waiter is interrupted)."""
-        try:
-            self._getters.remove(ev)
-        except ValueError:
-            pass
 
 
 def _match_any(item: Any) -> bool:
@@ -177,8 +80,8 @@ class FilterStore(Store):
     Used by the PVM task mailboxes to match on (source, tag).
     """
 
-    def __init__(self, sim, capacity: Optional[int] = None):
-        super().__init__(sim, capacity)
+    def __init__(self, sim):
+        super().__init__(sim)
         self._getters: Deque[tuple] = deque()  # (event, predicate)
 
     def put(self, item: Any) -> Event:
@@ -188,15 +91,11 @@ class FilterStore(Store):
             if pred(item):
                 del self._getters[i]
                 getter.succeed(item)
-                ev._state = TRIGGERED
-                sim._ready.append(ev)
-                return ev
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev._state = TRIGGERED
-            sim._ready.append(ev)
+                break
         else:
-            self._putters.append((ev, item))
+            self._items.append(item)
+        ev._state = TRIGGERED
+        sim._ready.append(ev)
         return ev
 
     def get(self, predicate=None) -> Event:
@@ -210,17 +109,6 @@ class FilterStore(Store):
                 ev._value = item
                 ev._state = TRIGGERED
                 sim._ready.append(ev)
-                if self._putters:
-                    self._admit_putters()
                 return ev
         self._getters.append((ev, predicate))
         return ev
-
-    def cancel_get(self, ev: Event) -> None:
-        for i, (getter, _pred) in enumerate(self._getters):
-            if getter is ev:
-                del self._getters[i]
-                return
-
-
-__all__.append("FilterStore")

@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout, PROCESSED
+from .events import AllOf, Event, Timeout, PROCESSED
 from .probe import Probe
 from .process import Process, _Resume
 
@@ -45,12 +45,10 @@ def _env_flag(name: str) -> bool:
 class Simulator:
     """A sequential discrete-event simulator.
 
+    An exception escaping a process propagates out of :meth:`run`.
+
     Parameters
     ----------
-    strict:
-        If True (default), an exception escaping a process propagates out
-        of :meth:`run` immediately.  If False, the process simply fails
-        and waiters receive the exception.
     sanitize:
         Attach a :class:`~repro.simlint.SimSanitizer` that asserts
         causality/conservation invariants while the simulation runs (see
@@ -71,8 +69,7 @@ class Simulator:
         uninstrumented ones.
     """
 
-    def __init__(self, strict: bool = True, sanitize: Optional[bool] = None,
-                 telemetry=None):
+    def __init__(self, sanitize: Optional[bool] = None, telemetry=None):
         self._now: float = 0.0
         #: Future events as ``(time, seq, entry)``, kept with ``heapq``.
         #: ``seq`` is unique, so ties never compare entries.  Never
@@ -82,7 +79,6 @@ class Simulator:
         self._ready: list = []
         self._ready_time: float = 0.0
         self._seq: int = 0
-        self.strict = strict
         #: Observers in subscription order; ``probe`` fans hooks out to them.
         self.subscribers: tuple = ()
         self.probe: Optional[Probe] = None
@@ -136,10 +132,6 @@ class Simulator:
         """Event that succeeds when all ``events`` have succeeded."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that succeeds when any of ``events`` succeeds."""
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------
     def _enqueue(self, event, delay: float) -> None:
         """Place a triggered event on the schedule ``delay`` seconds from
@@ -158,12 +150,6 @@ class Simulator:
         else:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (time, seq, event))
-
-    def schedule_at(self, time: float, value: Any = None) -> Event:
-        """An event that fires at absolute simulation time ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        return Timeout(self, time - self._now, value)
 
     # -- execution -----------------------------------------------------
     def peek(self) -> float:
@@ -222,10 +208,8 @@ class Simulator:
                     # below identify the unprocessed tail.
                     if entry.__class__ is _Resume:
                         proc = entry.proc
-                        if proc is not None:
-                            entry.proc = None
-                            proc._pending = None
-                            proc._resume(entry)
+                        entry.proc = None
+                        proc._resume(entry)
                     else:
                         entry._state = PROCESSED
                         callbacks = entry.callbacks
@@ -240,8 +224,7 @@ class Simulator:
         except BaseException:
             # Keep the unprocessed tail (a StopSimulation or process
             # exception aborts mid-batch; a later run()/step() resumes).
-            # Consumed entries are recognizable by their markers; an
-            # already-detached resume record is a no-op either way.
+            # Consumed entries are recognizable by their markers.
             ready[:] = [
                 e for e in ready
                 if (e.proc is not None

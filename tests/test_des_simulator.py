@@ -89,20 +89,6 @@ def test_run_until_horizon_beyond_last_event_advances_clock(sim):
     assert sim.now == 10.0
 
 
-def test_schedule_at(sim):
-    ev = sim.schedule_at(3.25, value="x")
-    sim.run()
-    assert sim.now == 3.25
-    assert ev.value == "x"
-
-
-def test_schedule_at_past_raises(sim):
-    sim.timeout(1.0)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(0.5)
-
-
 def test_clock_monotonicity_across_many_events(sim):
     times = []
 

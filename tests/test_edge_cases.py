@@ -13,14 +13,7 @@ from repro.analysis import (
     spectral_concentration,
     spectral_flatness,
 )
-from repro.des import (
-    AllOf,
-    AnyOf,
-    FilterStore,
-    Interrupt,
-    Simulator,
-    Store,
-)
+from repro.des import Simulator
 from repro.net import EthernetBus, EthernetFrame, Nic
 from repro.transport import HostStack
 
@@ -35,7 +28,8 @@ class TestDesComposition:
         t1 = sim.timeout(1.0, value="a")
         t2 = sim.timeout(2.0, value="b")
         t3 = sim.timeout(3.0, value="c")
-        outer = sim.any_of([sim.all_of([t1, t2]), t3])
+        inner = sim.all_of([t1, t2])
+        outer = sim.all_of([inner, t3])
         results = []
 
         def waiter(sim):
@@ -44,8 +38,8 @@ class TestDesComposition:
 
         sim.process(waiter(sim))
         sim.run()
-        # the AllOf completes at t=2, before t3
-        assert results[0][0] == 2.0
+        # the inner AllOf completes at t=2; the outer one waits for t3
+        assert results == [(3.0, {0: {0: "a", 1: "b"}, 1: "c"})]
 
     def test_process_waits_on_condition_of_processes(self, sim):
         def worker(sim, d):
@@ -62,46 +56,6 @@ class TestDesComposition:
         sim.process(collector(sim))
         sim.run()
         assert done == [(2.0, [0.5, 1.0, 2.0])]
-
-    def test_store_cancel_get(self, sim):
-        store = Store(sim)
-        ev = store.get()
-        store.cancel_get(ev)
-        store.put("x")
-        # the cancelled getter never receives; item stays queued
-        assert store.items == ("x",)
-
-    def test_filterstore_cancel_get(self, sim):
-        store = FilterStore(sim)
-        ev = store.get(lambda m: m == "wanted")
-        store.cancel_get(ev)
-        store.put("wanted")
-        assert store.items == ("wanted",)
-
-    def test_interrupt_while_waiting_on_store(self, sim):
-        store = Store(sim)
-        log = []
-
-        def consumer(sim):
-            ev = store.get()
-            try:
-                yield ev
-            except Interrupt:
-                store.cancel_get(ev)
-                log.append("interrupted")
-
-        proc = sim.process(consumer(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert log == ["interrupted"]
-        # a later put is not consumed by the dead getter
-        store.put("later")
-        assert store.items == ("later",)
 
 
 class TestMacDrops:

@@ -186,12 +186,34 @@ def test_rotten_entry_without_sidecar_is_produced_again(tmp_path, jobs):
     (npz,) = tmp_path.glob("*.npz")
     npz.write_bytes(npz.read_bytes()[:npz.stat().st_size // 2])
     npz.with_suffix(".json").unlink()
-    again = run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=tmp_path))
+    store = TraceStore(disk_dir=tmp_path)
+    again = run_sweep(grid, jobs=jobs, store=store)
     assert again.ok
     assert again.produced == 1 and again.hits == 0
     assert again.manifest_json() == first.manifest_json()
     assert [p.name for p in tmp_path.glob("*.corrupt")] == [
         npz.name + ".corrupt"]
+    assert store.stats.quarantined == 1
+    assert store.stats.disk_writes == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_entry_without_sidecar_is_healed(tmp_path, jobs):
+    """A loadable entry whose sidecar is gone is a disk hit that writes
+    the sidecar back, so the next sweep short-circuits the key without
+    waking the pool."""
+    grid = "program=sor scale=smoke seed=0"
+    run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=tmp_path))
+    (sidecar,) = tmp_path.glob("*.json")
+    original = sidecar.read_bytes()
+    sidecar.unlink()
+    again = run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=tmp_path))
+    assert again.ok and again.produced == 0
+    assert sidecar.read_bytes() == original  # same trace_sha256, same key
+    tasks = pool_stats()["tasks"]
+    third = run_sweep(grid, jobs=2, store=TraceStore(disk_dir=tmp_path))
+    assert third.hits == 1
+    assert pool_stats()["tasks"] == tasks
 
 
 class TestManifest:
