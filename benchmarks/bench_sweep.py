@@ -86,7 +86,7 @@ CHAOS_RISK = 1e-3
 
 def chaos_attempts(kill: float, in_flight: int, keys: int,
                    risk: float = CHAOS_RISK) -> int:
-    """``max_attempts`` that keeps a kill-worker drill from quarantining.
+    """Attempts per key that keep a kill-worker drill from quarantining.
 
     A dead worker breaks the executor, which requeues every in-flight key
     and charges each one attempt, so an attempt fails when *any* of the
@@ -118,7 +118,7 @@ def run_benchmark(grid: str = GRID, jobs: int = JOBS,
     The cold runs repeat ``reps`` times on fresh caches and the best
     wall time is kept, interleaved serial/pooled so box-load drift
     hits both sides alike."""
-    from repro.harness import ChaosPlan, RetryPolicy
+    from repro.harness import ChaosPlan
     from repro.harness.store import TraceStore
     from repro.harness.sweep import (
         expand_grid, parse_grid, pool_stats, run_sweep, shutdown_pool)
@@ -151,12 +151,8 @@ def run_benchmark(grid: str = GRID, jobs: int = JOBS,
             chaos_store = TraceStore(disk_dir=tmp / "chaos")
             chaos_run = run_sweep(
                 parsed, jobs=chaos_jobs, store=chaos_store, chaos=plan,
-                # Constant backoff: a budget this deep would otherwise
-                # spend the drill asleep on the rare long-unlucky key.
-                retry=RetryPolicy(
-                    max_attempts=chaos_attempts(plan.kill_worker,
-                                                chaos_jobs, keys),
-                    backoff_base=0.01, backoff_factor=1.0))
+                retries=chaos_attempts(plan.kill_worker, chaos_jobs,
+                                       keys) - 1)
             chaos_stats = chaos_run.stats()
             chaos_record = {
                 "plan": plan.describe(),

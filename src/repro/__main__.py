@@ -19,7 +19,7 @@ Usage::
     python -m repro sweep 'program=* scale=smoke seed=0..3' --jobs 4
                           [--manifest FILE] [--cache-dir DIR] [--qmon-dir DIR]
                           [--chaos 'kill-worker=P,hang=P,corrupt-cache=P,seed=N']
-                          [--task-timeout S] [--retries N] [--journal FILE]
+                          [--task-timeout S] [--retries N]
     python -m repro faults show "loss=0.01,stall=2:10-20:3"
     python -m repro faults demo [--scale smoke] [--loss 0.01]
     python -m repro lint [paths...] [--select/--ignore SIMxxx,...]
@@ -269,14 +269,15 @@ def _cmd_all(args) -> int:
 def _cmd_sweep(args) -> int:
     """``repro sweep GRID``: produce a grid through the trace cache.
 
-    SIGINT/SIGTERM drain in-flight keys and exit 130; rerunning with the
-    same ``--journal`` resumes.  A detached run is plain shell job
-    control (``nohup python -m repro sweep GRID --journal J ... &``).
+    SIGINT/SIGTERM drain in-flight keys and exit 130; rerunning the same
+    command resumes from the cache, which holds every key that finished.
+    A detached run is plain shell job control
+    (``nohup python -m repro sweep GRID ... &``).
     """
     import signal
     import threading
 
-    from .harness.resilience import ChaosPlan, RetryPolicy, SweepJournal
+    from .harness.resilience import ChaosPlan
     from .harness.sweep import GridError, parse_grid, run_sweep
 
     try:
@@ -299,37 +300,33 @@ def _cmd_sweep(args) -> int:
         if prog.done % stride == 0 or prog.done == prog.total:
             print(f"  {prog.describe()}", file=sys.stderr)
 
-    # Graceful shutdown: first SIGINT/SIGTERM drains in-flight keys and
-    # checkpoints the journal; the run exits 130, resumable via the same
-    # --journal file.
+    # Graceful shutdown: first SIGINT/SIGTERM drains in-flight keys; the
+    # run exits 130, and a rerun resumes from the cache.
     stop = threading.Event()
     previous = {}
 
     def request_stop(signum, frame) -> None:  # noqa: ARG001
         stop.set()
-        print("  [draining: finishing in-flight keys, "
-              "checkpointing journal]", file=sys.stderr)
+        print("  [draining: finishing in-flight keys; a rerun resumes "
+              "from the cache]", file=sys.stderr)
 
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
             previous[sig] = signal.signal(sig, request_stop)
         except ValueError:
             pass
-    journal = SweepJournal(args.journal) if args.journal else None
     try:
         result = run_sweep(
             grid, jobs=args.jobs, store=store,
             progress=None if args.quiet else stream,
-            retry=RetryPolicy(max_attempts=args.retries + 1),
-            chaos=chaos, task_timeout=args.task_timeout,
-            journal=journal, stop=stop, qmon_dir=args.qmon_dir,
+            retries=args.retries, chaos=chaos,
+            task_timeout=args.task_timeout, stop=stop,
+            qmon_dir=args.qmon_dir,
         )
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     finally:
-        if journal is not None:
-            journal.close()
         for sig, handler in previous.items():
             try:
                 signal.signal(sig, handler)
@@ -347,7 +344,6 @@ def _cmd_sweep(args) -> int:
             if value) + "]")
     print(f"sweep complete: {stats['keys']} keys "
           f"({stats['cache_hits']} hit, {stats['produced']} produced, "
-          f"{stats['replayed']} replayed, "
           f"{stats['failed']} failed) in {stats['wall_seconds']:.2f}s "
           f"with {args.jobs} job{'s' if args.jobs != 1 else ''} "
           f"-> {store.disk_dir}{tail}")
@@ -357,9 +353,7 @@ def _cmd_sweep(args) -> int:
         print(f"[manifest -> {path}]")
     if result.interrupted:
         print(f"sweep interrupted at {stats['keys']} of "
-              f"{stats['total_keys']} keys"
-              + (f"; resume with --journal {args.journal}"
-                 if args.journal else ""),
+              f"{stats['total_keys']} keys; rerun to resume from the cache",
               file=sys.stderr)
         return 130
     return 1 if result.failed else 0
@@ -835,17 +829,15 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--chaos", metavar="SPEC", default=None,
                          help="deterministic failure injection, e.g. "
                               "'kill-worker=0.2,hang=0.1,corrupt-cache=0.1,"
-                              "seed=7' (needs --jobs >= 2)")
+                              "seed=7' (needs --jobs >= 2; hang needs "
+                              "--task-timeout)")
     p_sweep.add_argument("--task-timeout", metavar="SECONDS", type=float,
                          default=None,
-                         help="wall-clock limit per pooled key; a key "
-                              "past it fails and is retried")
+                         help="wall-clock limit (> 0) per pooled key; a "
+                              "key past it fails and is retried")
     p_sweep.add_argument("--retries", metavar="N", type=int, default=2,
                          help="retry attempts per failed key before "
                               "quarantine (default: 2)")
-    p_sweep.add_argument("--journal", metavar="FILE", default=None,
-                         help="crash-safe journal; rerunning with the "
-                              "same file resumes")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress streaming progress on stderr")
     p_sweep.add_argument("--qmon-dir", metavar="DIR", default=None,

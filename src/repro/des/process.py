@@ -66,7 +66,7 @@ class Process(Event):
         Optional label used in error messages and repr.
     """
 
-    __slots__ = ("generator", "name", "_resume", "_send", "_throw")
+    __slots__ = ("name", "_resume", "_send", "_throw")
 
     def __init__(self, sim, generator: Generator, name: Optional[str] = None):
         try:
@@ -75,7 +75,6 @@ class Process(Event):
         except AttributeError:
             raise TypeError(f"not a generator: {generator!r}") from None
         super().__init__(sim)
-        self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # The resume callback, bound once, so registering it on a target
         # allocates no bound method.

@@ -5,7 +5,7 @@ from .experiments import EXPERIMENTS, Artifact, run_experiment
 from .figures import export_artifact
 from .plots import ascii_plot, render_series
 from .replication import Replication, replicate
-from .resilience import ChaosPlan, RetryPolicy, SweepJournal
+from .resilience import ChaosPlan
 from .runner import (
     REPRESENTATIVE_CONNECTIONS,
     clear_trace_cache,
@@ -50,8 +50,6 @@ __all__ = [
     "expand_grid",
     "run_sweep",
     "ChaosPlan",
-    "RetryPolicy",
-    "SweepJournal",
     "configure_trace_store",
     "set_trace_store",
     "set_default_faults",

@@ -43,7 +43,7 @@ import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..atomic import write_atomic
 from ..capture import PacketTrace, load_npz, save_npz_atomic, trace_digest
@@ -65,9 +65,6 @@ __all__ = [
 #: trace dtype gained the ``retx`` column and fault plans join the key
 #: (fault-free simulation dynamics are unchanged).
 TRACE_SCHEMA_VERSION = 3
-
-#: Default on-disk location, relative to the working directory.
-DEFAULT_CACHE_DIR = os.path.join("results", ".trace-cache")
 
 #: Environment switch: set REPRO_TRACE_CACHE to a directory to enable
 #: the persistent layer for every process (empty string disables).

@@ -13,10 +13,9 @@ is the one production engine behind all of them:
   ``ProcessPoolExecutor`` (:func:`shared_pool` — initialized once per
   process with the program registry, reused by every later sweep and by
   :meth:`TraceStore.warm`), short-circuits cache hits without touching
-  a worker, retries failed keys under one
-  :class:`~.resilience.RetryPolicy` whether serial or pooled, and
-  streams progress (done/hit/produced/failed, runs/sec, ETA) through a
-  callback;
+  a worker, puts a failed attempt straight back on the queue (up to
+  ``retries`` times) whether serial or pooled, and streams progress
+  (done/hit/produced/failed, runs/sec, ETA) through a callback;
 * every missing key, serial or pooled, is produced by one function,
   :func:`_produce`, through a :class:`~.store.TraceStore`: the sweep's
   own store in this process, or a store over the same cache directory
@@ -26,6 +25,11 @@ is the one production engine behind all of them:
   counts and simulated seconds — byte-identical whether the sweep ran
   serially, across N workers, or resumed over a warm cache.
 
+The cache is the sweep's only resume record: an entry's npz lands
+atomically before its metadata sidecar, so a rerun of a stopped or
+killed sweep short-circuits every key that finished and produces the
+rest.
+
 Wall-clock statistics (worker seconds, throughput, ETA) are reported
 alongside but deliberately excluded from the manifest, which is the
 reproducibility artifact.  The CLI entry point is ``repro sweep``.
@@ -34,8 +38,8 @@ reproducibility artifact.  The CLI entry point is ``repro sweep``.
 from __future__ import annotations
 
 import atexit
-import itertools
 import json
+import math
 import os
 import signal
 import threading
@@ -45,21 +49,13 @@ from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..atomic import write_atomic
 from ..capture import trace_digest
 from ..telemetry import Telemetry, disable_process_telemetry
-from .resilience import (
-    DEFAULT_RETRY,
-    DRAIN_TIMEOUT,
-    ChaosPlan,
-    RetryPolicy,
-    SweepJournal,
-    _truncate_file,
-)
+from .resilience import DRAIN_TIMEOUT, ChaosPlan, _truncate_file
 from .store import TRACE_SCHEMA_VERSION, CacheStats, TraceKey, TraceStore
 
 __all__ = [
@@ -523,7 +519,6 @@ class SweepEntry:
     sim_seconds: float = 0.0
     produced: bool = False     # simulated during this sweep
     cache_hit: bool = False    # served from the disk/memory cache
-    replayed: bool = False     # recovered from a resume journal
     error: Optional[str] = None
     wall_seconds: float = 0.0  # worker wall time (excluded from manifest)
     attempts: int = 1          # production attempts (excluded from manifest)
@@ -557,10 +552,10 @@ class SweepProgress:
     hits: int = 0
     produced: int = 0
     failed: int = 0
-    replayed: int = 0
     retries: int = 0
     requeued: int = 0
     quarantined: int = 0
+    timeouts: int = 0
     elapsed: float = 0.0
 
     @property
@@ -595,23 +590,18 @@ class SweepResult:
     #: Keys the whole grid wanted; > len(entries) after a graceful stop.
     total_keys: int = 0
     #: True when a stop request (SIGINT/SIGTERM) drained the sweep early;
-    #: the missing keys are resumable from the journal + cache.
+    #: a rerun over the same cache produces only the missing keys.
     interrupted: bool = False
-    #: Recovery tallies: retries, requeued, quarantined, timeouts, replayed.
+    #: Recovery tallies: retries, requeued, quarantined, timeouts.
     resilience: Dict[str, int] = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
-        return sum(1 for e in self.entries
-                   if e.cache_hit and not e.replayed)
+        return sum(1 for e in self.entries if e.cache_hit)
 
     @property
     def produced(self) -> int:
         return sum(1 for e in self.entries if e.produced)
-
-    @property
-    def replayed(self) -> int:
-        return sum(1 for e in self.entries if e.replayed)
 
     @property
     def failed(self) -> List[SweepEntry]:
@@ -660,7 +650,6 @@ class SweepResult:
             "total_keys": self.total_keys or len(self.entries),
             "cache_hits": self.hits,
             "produced": self.produced,
-            "replayed": self.replayed,
             "failed": len(self.failed),
             "interrupted": self.interrupted,
             "jobs": self.jobs,
@@ -715,8 +704,8 @@ def _produce(store: TraceStore, key: TraceKey, overrides: dict,
     produced afresh.  A switched-route key whose queue-monitor manifest
     is missing from ``qmon_dir`` is simulated under the monitor instead
     (trace bytes are unchanged) and written through if the store lacks
-    it.  A failure is reported on the entry, never raised: one bad key
-    must not poison the sweep.
+    it or its sidecar.  A failure is reported on the entry, never
+    raised: one bad key must not poison the sweep.
     """
     digest = key.digest()
     t0 = _WALL()
@@ -728,7 +717,9 @@ def _produce(store: TraceStore, key: TraceKey, overrides: dict,
             detail: dict = {}
             trace = run_measured(key.name, scale=key.scale, seed=key.seed,
                                  qmon=True, detail=detail, **overrides)
-            if produced:
+            if produced or _peek_cached(store, key) is None:
+                # A lost sidecar comes back with its npz rewritten from
+                # this trace: a sidecar never vouches for unread bytes.
                 store.put(key, trace)
             _write_qmon_manifest(qmon_dir, key, detail["qmon"])
         else:
@@ -751,10 +742,9 @@ def run_sweep(
     jobs: int = 1,
     store: Optional[TraceStore] = None,
     progress: Optional[Callable[[SweepProgress, SweepEntry], None]] = None,
-    retry: Optional[RetryPolicy] = None,
+    retries: int = 2,
     chaos: Optional[ChaosPlan] = None,
     task_timeout: Optional[float] = None,
-    journal: Optional[SweepJournal] = None,
     stop=None,
     qmon_dir=None,
 ) -> SweepResult:
@@ -777,30 +767,26 @@ def run_sweep(
     progress:
         Callback invoked after every completed key with the running
         :class:`SweepProgress` and the finished :class:`SweepEntry`.
-    retry:
-        :class:`~repro.harness.resilience.RetryPolicy` for failed keys
-        (default: 3 attempts with seeded-jitter exponential backoff).
-        A key still failing after its last attempt is quarantined —
-        recorded as failed, never allowed to stall the grid.
+    retries:
+        Further attempts per failed key (``>= 0``; default 2).  A failed
+        attempt goes straight back on the queue; a key still failing
+        after its last attempt is quarantined — recorded as failed,
+        never allowed to stall the grid.
     chaos:
         Optional :class:`~repro.harness.resilience.ChaosPlan`; requires
         a pooled sweep (``jobs >= 2`` with a disk cache) because chaos
-        kills live workers.
+        kills live workers, and a ``task_timeout`` if it hangs tasks.
     task_timeout:
-        Wall-second limit on one pooled production, enforced by a timer
-        inside the worker; a key past it fails with ``TimeoutError`` and
-        goes through the retry path.
-    journal:
-        :class:`~repro.harness.resilience.SweepJournal` making the sweep
-        crash-safe: completed keys are replayed from the journal on a
-        rerun (``resilience["replayed"]``) and every completion is
-        fsync'd.
+        Wall-second limit (``> 0``) on one pooled production, enforced
+        by a timer inside the worker; a key past it fails with
+        ``TimeoutError`` and goes through the retry path.
     stop:
         A ``threading.Event``; once set the sweep dispatches nothing
         more, lets in-flight keys finish (at most
         :data:`~repro.harness.resilience.DRAIN_TIMEOUT` seconds), records
-        what finished, and returns with ``interrupted=True``.  Keys still
-        unfinished stay unrecorded, so a rerun resumes them.
+        what finished, and returns with ``interrupted=True``.  A rerun
+        over the same cache hits every key that finished and produces
+        the rest.
     qmon_dir:
         Collect switch-queue manifests: every switched-route key lands
         ``<digest>.qmon.json`` under this directory.  Keys whose trace
@@ -818,13 +804,19 @@ def run_sweep(
 
     Serial and pooled production share one loop and one producer
     (:func:`_produce`): at most ``jobs`` keys in flight, every failed
-    attempt routed through ``retry`` (backoff, then quarantine).  The
-    files a worker's store writes or quarantines add to
+    attempt requeued at once until ``retries`` run out.  The files a
+    worker's store writes or quarantines add to
     ``store.stats.disk_writes`` and ``store.stats.quarantined``, as they
     would in this process.  A dead worker breaks the whole executor, which
     cannot say whose worker it was, so the pool is rebuilt and every
     in-flight key is requeued and charged one attempt.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise ValueError(
+            "task timeout must be a positive number of seconds, "
+            f"got {task_timeout}")
     if store is None:
         from .runner import trace_store
 
@@ -834,70 +826,33 @@ def run_sweep(
         items = expand_grid(parsed)
     else:
         items = as_work_items(grid)
-    retry = retry if retry is not None else DEFAULT_RETRY
     if chaos is not None and chaos.active and (
             jobs < 2 or store.disk_dir is None):
         raise ValueError(
             "chaos injection needs a pooled sweep: jobs >= 2 and a disk "
             "cache (chaos kills workers; there must be workers to kill)")
+    if chaos is not None and chaos.hang and task_timeout is None:
+        raise ValueError(
+            "chaos hang needs a task timeout: only the task timer ends "
+            "a hung task")
 
     t0 = _WALL()
 
     prog = SweepProgress(total=len(items))
     entries: Dict[TraceKey, SweepEntry] = {}
-    tallies = {"retries": 0, "requeued": 0, "quarantined": 0,
-               "timeouts": 0, "replayed": 0}
 
     def record(entry: SweepEntry) -> None:
         entries[entry.key] = entry
         prog.done += 1
         if entry.error is not None:
             prog.failed += 1
-            if journal is not None:
-                journal.append({"event": "failed", "digest": entry.digest,
-                                "error": entry.error,
-                                "attempts": entry.attempts})
-        elif entry.cache_hit and not entry.replayed:
+        elif entry.cache_hit:
             prog.hits += 1
         else:
-            if entry.replayed:
-                prog.replayed += 1
-            else:
-                prog.produced += 1
-            if journal is not None and not entry.replayed:
-                journal.append({
-                    "event": "done", "digest": entry.digest,
-                    "trace_sha256": entry.trace_sha256,
-                    "packets": entry.packets,
-                    "sim_seconds": entry.sim_seconds,
-                    "produced": entry.produced,
-                })
+            prog.produced += 1
         prog.elapsed = _WALL() - t0
         if progress is not None:
             progress(prog, entry)
-
-    def on_event(kind: str, ident: str, **info) -> None:
-        """Retry transitions: count, journal, and stream them."""
-        if kind == "retry":
-            tallies["retries"] += 1
-            prog.retries += 1
-        elif kind == "requeue":
-            tallies["requeued"] += 1
-            prog.requeued += 1
-        elif kind == "timeout":
-            tallies["timeouts"] += 1
-        elif kind == "quarantine":
-            tallies["quarantined"] += 1
-            prog.quarantined += 1
-        if journal is not None:
-            journal.append(dict({"event": kind, "digest": ident}, **info))
-
-    # Crash-safe resume: rows already journaled replay without touching
-    # the cache, the workers, or the simulator.
-    replayed_rows: Dict[str, dict] = {}
-    if journal is not None:
-        replayed_rows = journal.replay()
-        journal.rotate(replayed_rows)  # atomic compaction of old noise
 
     def stopping() -> bool:
         return stop is not None and stop.is_set()
@@ -906,22 +861,8 @@ def run_sweep(
     for key, overrides in items:
         if stopping():
             break
-        digest = key.digest()
-        row = replayed_rows.get(digest)
-        if row is not None:
-            tallies["replayed"] += 1
-            record(SweepEntry(
-                key=key, digest=digest,
-                trace_sha256=row.get("trace_sha256", ""),
-                packets=int(row.get("packets", 0)),
-                sim_seconds=float(row.get("sim_seconds", 0.0)),
-                cache_hit=True, replayed=True,
-            ))
-            continue
         hit = _peek_cached(store, key)
-        if hit is not None and _qmon_missing(qmon_dir, key, overrides):
-            hit = None  # cached trace, missing manifest: re-produce
-        if hit is not None:
+        if hit is not None and not _qmon_missing(qmon_dir, key, overrides):
             record(hit)
         else:
             misses.append((key, overrides))
@@ -933,8 +874,6 @@ def run_sweep(
     window = jobs if pool is not None else 1
     attempts: Dict[TraceKey, int] = {}
     ready = deque(misses)
-    waiting: list = []  # backoff min-heap of (due, seq, (key, overrides))
-    seq = itertools.count()
     inflight: Dict[Future, Tuple[TraceKey, dict]] = {}
     drain_deadline = None
 
@@ -953,8 +892,8 @@ def run_sweep(
         return future
 
     def settle(item, future: Future) -> None:
-        """A finished attempt: record it, back off for a retry, or
-        quarantine the key."""
+        """A finished attempt: record it, requeue it, or quarantine the
+        key."""
         key = item[0]
         attempt = attempts[key]
         exc = future.exception()
@@ -974,19 +913,18 @@ def run_sweep(
             record(entry)
             return
         if stopping():
-            return  # unfinished at the drain: left for a resume
+            return  # unfinished at the drain: a rerun produces it
         if entry.error.startswith("TimeoutError"):
-            on_event("timeout", entry.digest, attempt=attempt)
-        if attempt < retry.max_attempts:
-            kind = "requeue" if isinstance(exc, BrokenProcessPool) \
-                else "retry"
-            on_event(kind, entry.digest, attempt=attempt, error=entry.error)
-            heappush(waiting, (_WALL() + retry.delay(entry.digest, attempt),
-                               next(seq), item))
+            prog.timeouts += 1
+        if attempt <= retries:
+            if isinstance(exc, BrokenProcessPool):
+                prog.requeued += 1
+            else:
+                prog.retries += 1
+            ready.append(item)
             return
-        if retry.max_attempts > 1:
-            on_event("quarantine", entry.digest, attempts=attempt,
-                     error=entry.error)
+        if retries:
+            prog.quarantined += 1
             entry.error = (f"quarantined after {attempt} attempts: "
                            f"{entry.error}")
         record(entry)
@@ -999,20 +937,16 @@ def run_sweep(
             settle(inflight.pop(future), future)
 
     try:
-        while ready or waiting or inflight:
+        while ready or inflight:
             if stopping():
                 ready.clear()
-                waiting.clear()
                 if drain_deadline is None:
                     drain_deadline = _WALL() + DRAIN_TIMEOUT
                 if not inflight:
                     break
                 if _WALL() >= drain_deadline:
-                    _kill_pool()  # the stragglers stay resumable
+                    _kill_pool()  # the stragglers stay missing: rerun
                     break
-            now = _WALL()
-            while waiting and waiting[0][0] <= now:
-                ready.append(heappop(waiting)[2])
             while ready and len(inflight) < window:
                 item = ready.popleft()
                 try:
@@ -1021,15 +955,10 @@ def run_sweep(
                     attempts[item[0]] -= 1  # never ran: not charged
                     ready.appendleft(item)
                     restart_pool()
-            deadlines = [waiting[0][0]] if waiting else []
-            if stop is not None:
-                deadlines.append(now + 0.25)  # stay responsive to stop
+            # Wake at least every 0.25 s to notice a stop request.
+            timeout = 0.25 if stop is not None else None
             if drain_deadline is not None:
-                deadlines.append(drain_deadline)
-            timeout = max(0.0, min(deadlines) - now) if deadlines else None
-            if not inflight:
-                time.sleep(timeout or 0.0)  # only backoffs are pending
-                continue
+                timeout = min(timeout, max(0.0, drain_deadline - _WALL()))
             done, _ = wait(inflight, timeout=timeout,
                            return_when=FIRST_COMPLETED)
             if any(isinstance(f.exception(), BrokenProcessPool)
@@ -1047,11 +976,11 @@ def run_sweep(
         entries.values(),
         key=lambda e: (e.key.name, e.key.scale, e.key.seed, e.key.overrides),
     )
-    interrupted = stopping() and len(ordered) < len(items)
-    if interrupted and journal is not None:
-        journal.append({"event": "interrupted", "done": len(ordered),
-                        "total": len(items)})
     return SweepResult(
         entries=ordered, jobs=jobs, wall_seconds=_WALL() - t0,
-        total_keys=len(items), interrupted=interrupted, resilience=tallies,
+        total_keys=len(items),
+        interrupted=stopping() and len(ordered) < len(items),
+        resilience={"retries": prog.retries, "requeued": prog.requeued,
+                    "quarantined": prog.quarantined,
+                    "timeouts": prog.timeouts},
     )

@@ -19,10 +19,10 @@ recorder, and the whole Fx stack run over it unchanged — pass
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..des import Simulator, Store
+from ..des import Simulator
 from .frame import BROADCAST, EthernetFrame
 from .medium import BusStats, DropEvent, EthernetBus
 

@@ -16,9 +16,9 @@ Three observable behaviours are modelled:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..des import Simulator, Store
+from ..des import Simulator
 
 __all__ = ["PvmDaemon", "PVMD_PORT", "KEEPALIVE_BYTES", "KEEPALIVE_GAP_FACTOR"]
 

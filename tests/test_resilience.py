@@ -1,6 +1,6 @@
-"""Self-healing sweep service: pool rebuild, task timeout, retry/backoff,
-crash-safe resume, graceful drain, cache scrubber, and the seeded chaos
-harness.
+"""Self-healing sweep service: pool rebuild, task timeout, retries,
+resume from the cache, graceful drain, cache scrubber, and the seeded
+chaos harness.
 
 Every chaos path here is deterministic: kill/hang/corrupt decisions are
 pure hashes of (seed, key digest, attempt), so a configuration verified
@@ -8,6 +8,7 @@ to terminate once terminates identically on every machine.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -20,14 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.resilience import (
-    DEFAULT_RETRY,
-    ChaosError,
-    ChaosPlan,
-    RetryPolicy,
-    SweepJournal,
-    _unit,
-)
+from repro.__main__ import main
+from repro.harness import sweep as sweep_module
+from repro.harness.resilience import ChaosError, ChaosPlan, _unit
 from repro.harness.store import TraceStore, _stat_signature
 from repro.harness.sweep import (
     pool_stats,
@@ -65,7 +61,7 @@ def _clean_manifest(tmp_path, grid=GRID):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic randomness, retry policy, chaos grammar
+# Deterministic randomness, sweep settings, chaos grammar
 # ---------------------------------------------------------------------------
 
 
@@ -80,32 +76,38 @@ class TestUnit:
         assert _unit(0, "kill", "a", 1) != _unit(1, "kill", "a", 1)
 
 
-class TestRetryPolicy:
-    def test_delay_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.0)
-        d1 = policy.delay("k", 1)
-        d2 = policy.delay("k", 2)
-        d3 = policy.delay("k", 3)
-        assert d1 == pytest.approx(0.1)
-        assert d2 == pytest.approx(0.2)
-        assert d3 == pytest.approx(0.4)
+class TestSweepSettings:
+    """Settings under which no key could ever finish are refused up front
+    (the CLI turns the ``ValueError`` into exit status 2)."""
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.5, seed=7)
-        d = policy.delay("some-key", 1)
-        assert 0.1 <= d <= 0.15
-        assert d == RetryPolicy(backoff_base=0.1, jitter=0.5,
-                                seed=7).delay("some-key", 1)
-        # a different seed jitters differently
-        assert d != RetryPolicy(backoff_base=0.1, jitter=0.5,
-                                seed=8).delay("some-key", 1)
+    def test_retries_must_not_be_negative(self, store):
+        with pytest.raises(ValueError, match="retries"):
+            run_sweep(GRID, jobs=1, store=store, retries=-1)
+        assert main(["sweep", GRID, "--retries", "-1", "--quiet",
+                     "--cache-dir", str(store.disk_dir)]) == 2
+        assert not store.disk_dir.exists()  # rejected before any work
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-1.0)
-        assert DEFAULT_RETRY.max_attempts == 3
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_task_timeout_must_be_positive(self, store, timeout):
+        with pytest.raises(ValueError, match="task timeout"):
+            run_sweep(GRID, jobs=2, store=store, task_timeout=timeout)
+        assert main(["sweep", GRID, "--jobs", "2", "--quiet",
+                     "--task-timeout", str(timeout),
+                     "--cache-dir", str(store.disk_dir)]) == 2
+
+    def test_hang_chaos_needs_task_timeout(self, store, monkeypatch):
+        """Nothing but the task timer ends a hung task.  ``stop`` only
+        bounds this test should a sweep start anyway."""
+        monkeypatch.setattr(sweep_module, "DRAIN_TIMEOUT", 1.0)
+        stop = threading.Event()
+        timer = threading.Timer(5.0, stop.set)
+        timer.start()
+        try:
+            with pytest.raises(ValueError, match="task timeout"):
+                run_sweep(GRID, jobs=2, store=store, stop=stop,
+                          chaos=ChaosPlan.parse("hang=0.5,seed=5"))
+        finally:
+            timer.cancel()
 
 
 class TestChaosPlan:
@@ -152,50 +154,6 @@ class TestChaosPlan:
 
 
 # ---------------------------------------------------------------------------
-# Journal: append, replay, torn tail, rotation
-# ---------------------------------------------------------------------------
-
-
-class TestSweepJournal:
-    def test_append_and_replay(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.append({"event": "done", "digest": "a", "packets": 3})
-        journal.append({"event": "retry", "digest": "b"})
-        journal.append({"event": "done", "digest": "b", "packets": 5})
-        journal.close()
-        rows = SweepJournal(tmp_path / "j.jsonl").replay()
-        assert set(rows) == {"a", "b"}
-        assert rows["b"]["packets"] == 5
-
-    def test_torn_tail_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        journal.append({"event": "done", "digest": "a"})
-        journal.close()
-        with open(path, "a") as fh:
-            fh.write('{"event": "done", "digest": "tor')  # crash mid-append
-        rows = SweepJournal(path).replay()
-        assert set(rows) == {"a"}
-
-    def test_rotate_compacts_atomically(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = SweepJournal(path)
-        for i in range(5):
-            journal.append({"event": "retry", "digest": f"k{i}"})
-        journal.append({"event": "done", "digest": "k1"})
-        rows = journal.replay()
-        journal.rotate(rows)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["event"] == "begin"
-        assert [l["digest"] for l in lines[1:]] == ["k1"]
-        assert SweepJournal(path).replay() == rows
-        journal.close()
-
-    def test_missing_file_replays_empty(self, tmp_path):
-        assert SweepJournal(tmp_path / "nope.jsonl").replay() == {}
-
-
-# ---------------------------------------------------------------------------
 # Serial retry / quarantine
 # ---------------------------------------------------------------------------
 
@@ -204,8 +162,7 @@ class TestSerialRetry:
     BAD_GRID = "program=sor scale=smoke seed=0 nprocs=0"  # always fails
 
     def test_deterministic_failure_quarantined(self, store):
-        retry = RetryPolicy(max_attempts=3, backoff_base=0.001)
-        result = run_sweep(self.BAD_GRID, jobs=1, store=store, retry=retry)
+        result = run_sweep(self.BAD_GRID, jobs=1, store=store, retries=2)
         assert len(result.failed) == 1
         entry = result.failed[0]
         assert entry.attempts == 3
@@ -215,17 +172,15 @@ class TestSerialRetry:
         assert result.resilience["quarantined"] == 1
 
     def test_single_attempt_policy_never_quarantines(self, store):
-        retry = RetryPolicy(max_attempts=1)
-        result = run_sweep(self.BAD_GRID, jobs=1, store=store, retry=retry)
+        result = run_sweep(self.BAD_GRID, jobs=1, store=store, retries=0)
         entry = result.failed[0]
         assert entry.attempts == 1
         assert "quarantined" not in entry.error
         assert result.resilience["retries"] == 0
 
     def test_good_keys_unaffected_by_retry_policy(self, store):
-        retry = RetryPolicy(max_attempts=5, backoff_base=0.001)
         result = run_sweep("program=seq scale=smoke seed=0", jobs=1,
-                           store=store, retry=retry)
+                           store=store, retries=4)
         assert result.ok
         assert result.entries[0].attempts == 1
 
@@ -249,9 +204,7 @@ class TestSupervisedPool:
         victim.kill()
         victim.join(timeout=10)
         assert not victim.is_alive()
-        result = run_sweep(GRID, jobs=2, store=store,
-                           retry=RetryPolicy(max_attempts=3,
-                                             backoff_base=0.001))
+        result = run_sweep(GRID, jobs=2, store=store, retries=2)
         assert result.ok
         assert result.manifest_json() == clean
         assert pool_stats()["respawns"] >= 1
@@ -261,8 +214,7 @@ class TestSupervisedPool:
         respawns = pool_stats()["respawns"]
         result = run_sweep(
             [("seq", "smoke", 0), ("sor", "smoke", 0, {"nprocs": 0})],
-            jobs=2, store=store,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.001))
+            jobs=2, store=store, retries=1)
         (entry,) = result.failed
         assert entry.key.name == "sor" and entry.attempts == 2
         assert entry.error.startswith("quarantined after 2 attempts:")
@@ -285,8 +237,7 @@ class TestChaosSweeps:
         # most 1 - 0.6**2 = 0.64, so 20 attempts keep the chance that any
         # of the 6 keys is quarantined below 6 * 0.64**20 < 1e-3.
         result = run_sweep(GRID, jobs=2, store=store, chaos=plan,
-                           retry=RetryPolicy(max_attempts=20,
-                                             backoff_base=0.01))
+                           retries=19)
         assert result.ok
         assert result.resilience["requeued"] > 0  # chaos actually bit
         assert result.manifest_json() == clean
@@ -299,9 +250,7 @@ class TestChaosSweeps:
         clean = _clean_manifest(tmp_path)
         plan = ChaosPlan.parse("hang=0.35,seed=5")
         result = run_sweep(GRID, jobs=2, store=store, chaos=plan,
-                           task_timeout=3.0,
-                           retry=RetryPolicy(max_attempts=8,
-                                             backoff_base=0.01))
+                           task_timeout=3.0, retries=7)
         assert result.ok
         assert result.resilience["timeouts"] > 0
         assert result.resilience["requeued"] == 0
@@ -333,66 +282,48 @@ class TestChaosSweeps:
 
 
 # ---------------------------------------------------------------------------
-# Crash-safe resume
+# Resume from the cache
 # ---------------------------------------------------------------------------
+
+
+def _resumed(first, clean, tmp_path, jobs):
+    """Rerun a stopped sweep on a fresh store over the same cache: every
+    key the first run finished is a hit, and the manifest is clean."""
+    second = run_sweep(GRID, jobs=jobs,
+                       store=TraceStore(disk_dir=tmp_path / "cache"))
+    assert second.ok and not second.interrupted
+    finished = {e.key for e in first.entries}
+    assert finished <= {e.key for e in second.entries if e.cache_hit}
+    assert second.manifest_json() == clean
 
 
 class TestResume:
     def test_stop_event_drains_and_resume_replays(self, tmp_path, store):
         clean = _clean_manifest(tmp_path)
         stop = threading.Event()
-        journal = SweepJournal(tmp_path / "journal.jsonl")
 
         def interrupt_after_two(prog, entry):
             if prog.done >= 2:
                 stop.set()
 
-        first = run_sweep(GRID, jobs=1, store=store, journal=journal,
-                          stop=stop, progress=interrupt_after_two)
-        journal.close()
+        first = run_sweep(GRID, jobs=1, store=store, stop=stop,
+                          progress=interrupt_after_two)
         assert first.interrupted and not first.ok
-        assert len(first.entries) < first.total_keys
-
-        journal2 = SweepJournal(tmp_path / "journal.jsonl")
-        second = run_sweep(GRID, jobs=1, store=store, journal=journal2)
-        journal2.close()
-        assert second.ok and not second.interrupted
-        assert second.replayed >= 2
-        assert second.manifest_json() == clean
+        assert 2 <= len(first.entries) < first.total_keys
+        _resumed(first, clean, tmp_path, jobs=1)
 
     def test_pooled_resume_byte_identical(self, tmp_path, store):
         clean = _clean_manifest(tmp_path)
         stop = threading.Event()
-        journal = SweepJournal(tmp_path / "journal.jsonl")
 
         def interrupt_after_one(prog, entry):
             if prog.done >= 1:
                 stop.set()
 
-        first = run_sweep(GRID, jobs=2, store=store, journal=journal,
-                          stop=stop, progress=interrupt_after_one)
-        journal.close()
-        assert first.interrupted
-
-        journal2 = SweepJournal(tmp_path / "journal.jsonl")
-        second = run_sweep(GRID, jobs=2, store=store, journal=journal2)
-        journal2.close()
-        assert second.ok
-        assert second.manifest_json() == clean
-
-    def test_journaled_failures_retry_on_resume(self, tmp_path, store):
-        bad = "program=sor scale=smoke seed=0 nprocs=0"
-        journal = SweepJournal(tmp_path / "journal.jsonl")
-        first = run_sweep(bad, jobs=1, store=store, journal=journal,
-                          retry=RetryPolicy(max_attempts=1))
-        journal.close()
-        assert first.failed
-        # failed rows are audit trail, not completions: resume re-runs them
-        journal2 = SweepJournal(tmp_path / "journal.jsonl")
-        second = run_sweep(bad, jobs=1, store=store, journal=journal2,
-                           retry=RetryPolicy(max_attempts=1))
-        journal2.close()
-        assert second.replayed == 0 and second.failed
+        first = run_sweep(GRID, jobs=2, store=store, stop=stop,
+                          progress=interrupt_after_one)
+        assert first.interrupted and first.entries
+        _resumed(first, clean, tmp_path, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +443,17 @@ def _repro(*argv, **popen):
                             text=True, **popen)
 
 
-def _wait_for_done_row(proc, journal, timeout=60.0):
-    """Block until the sweep has journaled a completed key."""
+def _wait_for_sidecar(proc, cache, timeout=60.0):
+    """Block until a key's entry has landed in the cache (its metadata
+    sidecar is written after its npz)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if journal.exists() and '"done"' in journal.read_text():
+        if any(cache.glob("*.json")):
             return
         if proc.poll() is not None:
             pytest.fail(f"sweep exited early: {proc.communicate()}")
         time.sleep(0.02)
-    pytest.fail("sweep never journaled a completed key")
+    pytest.fail("sweep never cached a completed key")
 
 
 def _running(pid):
@@ -541,34 +473,33 @@ class TestForegroundDrain:
     def _sweep(self, tmp_path, **popen):
         return _repro("sweep", BIG_GRID, "--jobs", "2",
                       "--cache-dir", str(tmp_path / "cache"),
-                      "--journal", str(tmp_path / "journal.jsonl"),
                       "--manifest", str(tmp_path / "manifest.json"), **popen)
 
     def _resume(self, tmp_path, clean):
         out, err = self._sweep(tmp_path).communicate(timeout=120)
         assert "FAILED" not in err
-        assert int(re.search(r"(\d+) replayed", out).group(1)) > 0
+        assert int(re.search(r"\((\d+) hit,", out).group(1)) > 0
         assert (tmp_path / "manifest.json").read_text() == clean
 
     def test_sigint_drains_exit_130_and_resumes(self, tmp_path):
         """Ctrl-C reaches the whole process group: the sweep drains once,
-        exits 130 with no failed rows, and a rerun with the journal
+        exits 130 with no failed rows, and a rerun over the same cache
         finishes byte-identical to an uninterrupted serial run."""
         clean = _clean_manifest(tmp_path, BIG_GRID)
         proc = self._sweep(tmp_path, start_new_session=True)
-        _wait_for_done_row(proc, tmp_path / "journal.jsonl")
+        _wait_for_sidecar(proc, tmp_path / "cache")
         os.killpg(proc.pid, signal.SIGINT)
         _out, err = proc.communicate(timeout=60)
         assert proc.returncode == 130, err
         assert "FAILED" not in err
         assert err.count("[draining") == 1  # workers ignore the signal
-        assert "resume with --journal" in err
+        assert "rerun to resume from the cache" in err
         self._resume(tmp_path, clean)
 
     def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
         clean = _clean_manifest(tmp_path, BIG_GRID)
         proc = self._sweep(tmp_path)
-        _wait_for_done_row(proc, tmp_path / "journal.jsonl")
+        _wait_for_sidecar(proc, tmp_path / "cache")
         proc.kill()
         proc.communicate(timeout=30)  # its workers hold the pipes until
         self._resume(tmp_path, clean)  # they notice the parent is gone
@@ -634,20 +565,10 @@ class TestScrubCli:
 
 class TestResilienceTelemetry:
     def test_counters_emitted(self, tmp_path):
-        """``SweepResult.resilience`` tallies retries, quarantines and
-        journal replays."""
+        """``SweepResult.resilience`` tallies retries, requeues,
+        quarantines and timeouts."""
         store = TraceStore(disk_dir=tmp_path / "cache")
-        retry = RetryPolicy(max_attempts=2, backoff_base=0.001)
         failing = run_sweep("program=sor scale=smoke seed=0 nprocs=0",
-                            jobs=1, store=store, retry=retry)
-        assert failing.resilience["retries"] >= 1
-        assert failing.resilience["quarantined"] >= 1
-        journal = SweepJournal(tmp_path / "j.jsonl")
-        run_sweep("program=seq scale=smoke seed=0", jobs=1, store=store,
-                  journal=journal)
-        journal.close()
-        journal2 = SweepJournal(tmp_path / "j.jsonl")
-        resumed = run_sweep("program=seq scale=smoke seed=0", jobs=1,
-                            store=store, journal=journal2)
-        journal2.close()
-        assert resumed.resilience["replayed"] >= 1
+                            jobs=1, store=store, retries=1)
+        assert failing.resilience == {"retries": 1, "requeued": 0,
+                                      "quarantined": 1, "timeouts": 0}

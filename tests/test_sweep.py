@@ -216,6 +216,26 @@ def test_entry_without_sidecar_is_healed(tmp_path, jobs):
     assert pool_stats()["tasks"] == tasks
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_qmon_rerun_heals_missing_sidecar(tmp_path, jobs):
+    """A key re-simulated for its missing queue-monitor manifest also
+    writes back its lost sidecar, as a plain cache read does."""
+    grid = "program=sor scale=smoke seed=0 route=switched"
+    cache = tmp_path / "cache"
+    run_sweep(grid, store=TraceStore(disk_dir=cache),
+              qmon_dir=tmp_path / "qmon1")
+    (sidecar,) = cache.glob("*.json")
+    original = sidecar.read_bytes()
+    sidecar.unlink()
+    again = run_sweep(grid, jobs=jobs, store=TraceStore(disk_dir=cache),
+                      qmon_dir=tmp_path / "qmon2")
+    assert again.ok and again.hits == 1
+    assert sidecar.read_bytes() == original
+    (manifest,) = (tmp_path / "qmon1").glob("*.qmon.json")
+    assert (tmp_path / "qmon2" / manifest.name).read_bytes() \
+        == manifest.read_bytes()
+
+
 class TestManifest:
     GRID = "program=sor,hist scale=smoke seed=0..3"
 
